@@ -9,21 +9,22 @@
 //     and the ROB fills, retirement (and therefore dispatch) stalls.
 //
 // Memory timing is provided by a MemoryPort-shaped `Port` (implemented by
-// sim::CmpSystem) which performs all cache/bus/DRAM state updates
-// synchronously and returns the completion cycle.  Core is a template on
-// the port type: sealed against the final CmpSystem, every simulated load,
-// store and ifetch crosses the core/memory boundary as a direct (and
-// inlinable) call; the virtual MemoryPort interface remains for
-// polymorphic drivers and test doubles (CTAD picks the concrete port type
-// up from the constructor either way).
+// sim::CmpSystem), split into a core-local L1 probe and a shared-state
+// miss half that performs all cache/bus/DRAM state updates synchronously
+// and returns the completion cycle.  Core is a template on the port
+// type: sealed against the final CmpSystem, every simulated load, store
+// and ifetch crosses the core/memory boundary as a direct (and
+// inlinable) call; the virtual MemoryPort interface remains for test
+// doubles (CTAD picks the concrete port type up from the constructor
+// either way).
 //
-// step() returns the next cycle at which the core can make progress, so a
-// driver may skip the cycles in between instead of re-entering a no-op
-// step() every cycle (sim::CmpSystem::run does).  Per-cycle stepping
-// (ignore the return value) remains exactly equivalent: a skipped cycle
-// is by construction one in which step() would change no state, and the
-// stall-cycle statistics are accounted lazily so both calling patterns
-// produce the same counters.
+// step(now, limit) free-runs the core through its core-local work and
+// returns the next cycle at which it can make progress, so a driver
+// skips the cycles in between instead of re-entering a no-op step every
+// cycle (sim::CmpSystem::run does).  Per-cycle stepping is exactly
+// step(t, t + 1): a skipped cycle is by construction one in which the
+// core would change no state, and the stall-cycle statistics are
+// accounted lazily so both calling patterns produce the same counters.
 #pragma once
 
 #include <algorithm>
@@ -67,17 +68,29 @@ struct CoreStats {
 };
 
 /// Interface to the memory system; one implementation per L2 scheme stack.
+///
+/// Each access is split in two.  The probe touches only the calling
+/// core's L1 (rank updates, dirty marks, hit/miss counters), so a core
+/// may issue it while running ahead of the global clock.  The miss half
+/// reaches the L2 scheme, bus and DRAM, and must run in global
+/// (cycle, core) order; it returns the completion cycle.
 class MemoryPort {
  public:
   virtual ~MemoryPort() = default;
 
-  /// Performs a data access for `core`, updating all cache/bus/DRAM state,
-  /// and returns the completion cycle (>= now + 1).
-  virtual Cycle data_access(CoreId core, Addr addr, bool is_write,
-                            Cycle now) = 0;
+  /// L1D probe for `core`; true on a hit (completion is the next cycle).
+  virtual bool probe_data(CoreId core, Addr addr, bool is_write) = 0;
 
-  /// Instruction fetch of the block containing `addr`.
-  virtual Cycle inst_fetch(CoreId core, Addr addr, Cycle now) = 0;
+  /// The L1D-miss half: `probe_data` already ran and missed.  Returns
+  /// the completion cycle (>= now + 1).
+  virtual Cycle miss_data(CoreId core, Addr addr, bool is_write,
+                          Cycle now) = 0;
+
+  /// L1I probe of the block containing `addr`; true on a hit.
+  virtual bool probe_inst(CoreId core, Addr addr) = 0;
+
+  /// The L1I-miss half: `probe_inst` already ran and missed.
+  virtual Cycle miss_inst(CoreId core, Addr addr, Cycle now) = 0;
 };
 
 template <typename Port = MemoryPort>
@@ -95,41 +108,37 @@ class Core {
     code_base_ = code_base(id);
   }
 
-  /// Simulates one core clock cycle (retire, then fetch/dispatch) and
-  /// returns the earliest cycle > now at which this core can next change
-  /// state — the driver may skip straight to it.
-  Cycle step(Cycle now) { return step_impl(now); }
-
-  /// Free-running batch step for the lane engine (sim/lane_engine.hpp).
+  /// Runs the core from global cycle `now` and returns the earliest
+  /// cycle at which it can next change state — the driver wakes it
+  /// there.
   ///
   /// Everything a core does between its own L1 *misses* is core-local:
   /// plain instructions, correctly predicted branches, L1-hit loads and
   /// stores, retirement, mispredict redirects, batch refills from the
-  /// (private) stream.  step_masked exploits that: called at global
-  /// cycle `now`, it simulates cycle after cycle privately — the same
-  /// per-cycle retire/dispatch/next-event bodies as step(), so the state
-  /// evolution is bit-identical — WITHOUT returning to the driver, until
-  /// it either
+  /// (private) stream.  step() exploits that: it simulates cycle after
+  /// cycle privately, without returning to the driver, until it either
   ///   * reaches a shared-state event (an L1D or L1I miss, which books
   ///     bus/DRAM tenures and mutates the L2 scheme): if the event falls
   ///     at a cycle t beyond `now`, the core *parks* — records the
   ///     half-dispatched instruction and returns t.  The driver resumes
   ///     it via the normal wake machinery at exactly (cycle t, this
-  ///     core's sweep slot), so every shared-state access happens in the
-  ///     same global (cycle, core-index) order as under step() — the
-  ///     property all bus/DRAM/scheme bit-identity rests on.  At
-  ///     t == now (the core's own sweep slot) misses execute
-  ///     synchronously, scalar-style, no park.
-  ///   * runs out of window: cycles >= `limit` belong to the next run()
-  ///     call; the core returns its next-event cycle unparked.
+  ///     core's sweep slot), so every shared-state access happens in
+  ///     global (cycle, core-index) order — the property all
+  ///     bus/DRAM/scheme determinism rests on.  At t == now (the core's
+  ///     own sweep slot) misses execute synchronously, no park.
+  ///   * runs out of window: cycles >= `limit` belong to the next run
+  ///     window; the core returns its next-event cycle unparked.
   ///
-  /// Epoch ticks and WBB drains stay on the driver's timeline; they
-  /// commute with the free-run because it touches no shared state.
-  /// A parked core must be resumed through step_masked before any
-  /// scalar step() call (CmpSystem::run_masked guarantees parks never
-  /// outlive a run window, so run()/run_masked() may still be
-  /// interleaved freely at window granularity).
-  Cycle step_masked(Cycle now, Cycle limit) {
+  /// step(t, t + 1) simulates exactly cycle t: its next event is always
+  /// >= t + 1, so it returns before it can free-run or park.  Epoch
+  /// ticks and WBB drains stay on the driver's timeline; they commute
+  /// with the free-run because it touches no shared state.  A parked
+  /// core must be resumed at the cycle step() returned — always before
+  /// `limit`, so no park outlives a run window.
+  Cycle step(Cycle now, Cycle limit) {
+    // Hoisted configuration: the miss calls below reach the memory
+    // system, which the optimiser cannot see through, so member loads
+    // inside the loops would otherwise repeat after every instruction.
     const std::uint32_t issue_width = cfg_.issue_width;
     const std::uint32_t rob_entries = cfg_.rob_entries;
     const std::uint32_t lsq_entries = cfg_.lsq_entries;
@@ -160,8 +169,8 @@ class Core {
         const Cycle completion = mem_.miss_inst(id_, pending_addr_, t);
         const Cycle done = completion > t ? completion : t + 1;
         if (done > t + 1) fetch_stall_until_ = done;
-        // The instruction the fetch belonged to still dispatches at t
-        // (as in dispatch_one); a data miss inside it is synchronous.
+        // The instruction the fetch belonged to still dispatches at t;
+        // a data miss inside it is synchronous.
         const bool parked = dispatch_decode(t, t, rob, rob_entries);
         SNUG_ENSURE(!parked);
       }
@@ -171,28 +180,34 @@ class Core {
 
     for (;;) {
       if (!mid_cycle) {
-        settle_stall(t);
+        settle_stall(t);  // fold pending stall cycles < t into the stats
+        // ---- retire (in order, up to issue_width per cycle)
         std::uint32_t retired_now = 0;
         while (retired_now < issue_width && rob_size_ != 0 &&
                rob[rob_head_].done_at <= t) {
-          lsq_used_ -= rob[rob_head_].is_mem;
+          lsq_used_ -= rob[rob_head_].is_mem;  // branchless: 0/1
           if (++rob_head_ == rob_entries) rob_head_ = 0;
           --rob_size_;
           ++retired_now;
         }
-        stats_.retired += retired_now;
+        stats_.retired += retired_now;  // batched per cycle, not per instr
         dispatched = 0;
         observed_block = false;
       }
       mid_cycle = false;
 
+      // ---- fetch/dispatch
+      // `observed_block` mirrors per-cycle accounting: a stall cycle is
+      // charged only when a dispatch attempt actually saw the full
+      // ROB/LSQ (not when the loop ended at issue width or on a fetch
+      // stall).
       if (t >= fetch_stall_until_) {
         while (dispatched < issue_width) {
           if (rob_size_ >= rob_entries || lsq_used_ >= lsq_entries) {
             observed_block = true;
             break;
           }
-          if (dispatch_one_masked(t, now, rob, rob_entries)) {
+          if (dispatch_one(t, now, rob, rob_entries)) {
             pending_dispatched_ = dispatched;
             pending_observed_block_ = observed_block;
             return t;
@@ -202,11 +217,11 @@ class Core {
         }
       }
 
-      // Next-event + pending-stall bookkeeping: verbatim step() epilogue.
+      // ---- next-event computation (and pending-stall bookkeeping)
       const bool rob_full = rob_size_ >= rob_entries;
       const bool lsq_full = lsq_used_ >= lsq_entries;
       const Cycle dispatch_at = (rob_full || lsq_full)
-                                    ? kNever
+                                    ? kNever  // gated on retirement
                                     : std::max(fetch_stall_until_, t + 1);
       Cycle next;
       if (rob_size_ == 0) {
@@ -215,6 +230,14 @@ class Core {
       } else {
         const Cycle retire_at = std::max(rob[rob_head_].done_at, t + 1);
         if (rob_full || lsq_full) {
+          // Record the stall span [from, retire_at) as *pending*: exactly
+          // the cycles a per-cycle loop would charge one by one (dispatch
+          // is attempted from fetch_stall_until_ on; cycle t is included
+          // only if this cycle's attempt reached the full check; the
+          // blockage cannot clear before the ROB head retires).  Nothing
+          // is charged yet — settle_stall() folds the span in as
+          // simulated time reaches it, so the counters never cover
+          // cycles a run window did not execute.
           stall_from_ = std::max(fetch_stall_until_,
                                  observed_block ? t : t + 1);
           stall_until_ = retire_at;
@@ -230,10 +253,10 @@ class Core {
   }
 
   /// Folds the pending stall span into rob_full/lsq_full counters up to
-  /// (excluding) `now`.  step() settles on entry; a driver that ends a
-  /// run window at cycle `end` calls settle_stall(end) so stall cycles
-  /// inside the window are charged even when the core slept through its
-  /// tail (sim::CmpSystem::run does).
+  /// (excluding) `now`.  step() settles each cycle it simulates; a
+  /// driver that ends a run window at cycle `end` calls settle_stall(end)
+  /// so stall cycles inside the window are charged even when the core
+  /// slept through its tail (sim::CmpSystem::run does).
   void settle_stall(Cycle now) noexcept {
     if (stall_until_ > stall_from_) {
       const Cycle upto = std::min(now, stall_until_);
@@ -282,78 +305,6 @@ class Core {
   /// virtual dispatch amortised over the batch.
   static constexpr std::size_t kFetchBatch = 64;
 
-  Cycle step_impl(Cycle now) {
-    settle_stall(now);  // fold pending stall cycles < now into the stats
-
-    // Hoisted configuration: the calls below reach the memory system,
-    // which the optimiser cannot see through, so member loads inside the
-    // loops would otherwise repeat after every instruction.
-    const std::uint32_t issue_width = cfg_.issue_width;
-    const std::uint32_t rob_entries = cfg_.rob_entries;
-    const std::uint32_t lsq_entries = cfg_.lsq_entries;
-    RobEntry* const rob = rob_.data();
-
-    // ---- retire (in order, up to issue_width per cycle)
-    std::uint32_t retired_now = 0;
-    while (retired_now < issue_width && rob_size_ != 0 &&
-           rob[rob_head_].done_at <= now) {
-      lsq_used_ -= rob[rob_head_].is_mem;  // branchless: is_mem is 0/1
-      if (++rob_head_ == rob_entries) rob_head_ = 0;
-      --rob_size_;
-      ++retired_now;
-    }
-    stats_.retired += retired_now;  // batched per step, not per instr
-
-    // ---- fetch/dispatch
-    // `observed_block` mirrors the per-cycle loop's accounting: a stall
-    // cycle is charged only when a dispatch attempt actually saw the
-    // full ROB/LSQ (not when the loop ended at issue width or on a
-    // fetch stall).
-    bool observed_block = false;
-    if (now >= fetch_stall_until_) {
-      std::uint32_t dispatched = 0;
-      while (dispatched < issue_width) {
-        if (rob_size_ >= rob_entries || lsq_used_ >= lsq_entries) {
-          observed_block = true;
-          break;
-        }
-        dispatch_one(now, rob, rob_entries);
-        ++dispatched;
-        if (now < fetch_stall_until_) break;  // branch redirect / I-miss
-      }
-    }
-
-    // ---- next-event computation (and pending-stall bookkeeping)
-    const bool rob_full = rob_size_ >= rob_entries;
-    const bool lsq_full = lsq_used_ >= lsq_entries;
-    const Cycle dispatch_at = (rob_full || lsq_full)
-                                  ? kNever  // gated on retirement
-                                  : std::max(fetch_stall_until_, now + 1);
-    if (rob_size_ == 0) {
-      stall_from_ = stall_until_ = 0;  // no stall in flight
-      return dispatch_at;
-    }
-
-    const Cycle retire_at = std::max(rob_[rob_head_].done_at, now + 1);
-    if (rob_full || lsq_full) {
-      // Record the stall span [from, retire_at) as *pending*: exactly
-      // the cycles the per-cycle loop would charge one by one (dispatch
-      // is attempted from fetch_stall_until_ on; cycle `now` is included
-      // only if this step's attempt reached the full check; the blockage
-      // cannot clear before the ROB head retires).  Nothing is charged
-      // yet — settle_stall() folds the span in as simulated time
-      // actually reaches it, so the counters never cover cycles a run
-      // window did not execute.
-      stall_from_ = std::max(fetch_stall_until_,
-                             observed_block ? now : now + 1);
-      stall_until_ = retire_at;
-      stall_is_rob_ = rob_full;
-    } else {
-      stall_from_ = stall_until_ = 0;
-    }
-    return std::min(dispatch_at, retire_at);
-  }
-
   void append_rob(const RobEntry& entry, RobEntry* rob,
                   std::uint32_t rob_entries) noexcept {
     std::uint32_t tail = rob_head_ + rob_size_;
@@ -363,11 +314,16 @@ class Core {
   }
 
   /// Decode + execute of the instruction at ibuf_pos_ at cycle t — the
-  /// post-I-fetch tail of dispatch_one, with the shared-state access
-  /// split out for the free-run.  `global_now` is the driver's clock:
-  /// an L1D miss at t > global_now parks the core (returns true)
+  /// post-I-fetch tail of dispatch_one.  `global_now` is the driver's
+  /// clock: an L1D miss at t > global_now parks the core (returns true)
   /// instead of touching bus/DRAM/L2 ahead of the global event order;
-  /// at t == global_now it executes synchronously, scalar-style.
+  /// at t == global_now it executes synchronously.
+  ///
+  /// Branch-light dispatch: instruction kinds are uniformly random, so
+  /// a 4-way switch on them is a steady stream of branch mispredicts on
+  /// the host.  One memory-vs-not test (the only unpredictable branch)
+  /// plus flag arithmetic on the SoA batch code covers all four kinds;
+  /// the mispredict branch is rare enough to stay a branch.
   bool dispatch_decode(Cycle t, Cycle global_now, RobEntry* rob,
                        std::uint32_t rob_entries) {
     if (ibuf_pos_ == ibuf_len_) {
@@ -394,7 +350,13 @@ class Core {
           return true;
         }
         const Cycle completion = mem_.miss_data(id_, addr, is_write, t);
+        // Port contract (completion > t): a per-instruction hot-path
+        // precondition — checked in dev builds, compiled out in the
+        // measurement configurations (common/require.hpp).
         SNUG_REQUIRE(completion > t);
+        // Stores update cache state and consume bandwidth but commit
+        // without waiting for the line (store-buffer semantics); loads
+        // occupy their ROB entry until the data arrives.
         if (!is_write) entry.done_at = completion;
       }
       // L1D hit: completion is t + 1 — entry.done_at is already right.
@@ -410,17 +372,17 @@ class Core {
     return false;
   }
 
-  /// dispatch_one for the free-run: identical state evolution, but L1I
-  /// and L1D misses beyond the driver's clock park the core (see
-  /// step_masked).  Returns true when parked.
-  bool dispatch_one_masked(Cycle t, Cycle global_now, RobEntry* rob,
-                           std::uint32_t rob_entries) {
+  /// Fetch + dispatch of one instruction at cycle t: one L1I access per
+  /// fetched line, then dispatch_decode.  L1I and L1D misses beyond the
+  /// driver's clock park the core (see step).  Returns true when parked.
+  bool dispatch_one(Cycle t, Cycle global_now, RobEntry* rob,
+                    std::uint32_t rob_entries) {
     if (--ifetch_countdown_ == 0) {
       ifetch_countdown_ = cfg_.line_bytes / cfg_.instr_bytes;
       const Addr ifetch_addr =
           code_base_ + code_block_cursor_ * cfg_.line_bytes;
       if (++code_block_cursor_ == cfg_.code_blocks) {
-        code_block_cursor_ = 0;
+        code_block_cursor_ = 0;  // cyclic I-footprint, division-free
       }
       ++stats_.ifetch_blocks;
       if (!mem_.probe_inst(id_, ifetch_addr)) {  // L1I miss: shared
@@ -436,67 +398,6 @@ class Core {
       // L1I hit: done == t + 1, no fetch stall.
     }
     return dispatch_decode(t, global_now, rob, rob_entries);
-  }
-
-  // `rob`/`rob_entries` arrive pre-hoisted from step(): the memory-port
-  // call below is opaque to the optimiser, which would otherwise reload
-  // the members on every instruction.
-  void dispatch_one(Cycle now, RobEntry* rob, std::uint32_t rob_entries) {
-    // Per-block instruction fetch: one L1I access per fetched line.
-    if (--ifetch_countdown_ == 0) {
-      ifetch_countdown_ = cfg_.line_bytes / cfg_.instr_bytes;
-      const Addr ifetch_addr =
-          code_base_ + code_block_cursor_ * cfg_.line_bytes;
-      if (++code_block_cursor_ == cfg_.code_blocks) {
-        code_block_cursor_ = 0;  // cyclic I-footprint, division-free
-      }
-      ++stats_.ifetch_blocks;
-      const Cycle done = mem_.inst_fetch(id_, ifetch_addr, now);
-      if (done > now + 1) fetch_stall_until_ = done;  // I-miss stall
-    }
-
-    // Branch-light dispatch: instruction kinds are uniformly random, so
-    // a 4-way switch on them is a steady stream of branch mispredicts on
-    // the host.  One memory-vs-not test (the only unpredictable branch)
-    // plus flag arithmetic on the SoA batch code covers all four kinds;
-    // the mispredict branch is rare enough to stay a branch.
-    if (ibuf_pos_ == ibuf_len_) {
-      ibuf_len_ = static_cast<std::uint32_t>(
-          stream_.fill_batch(icode_.data(), iaddr_.data(), kFetchBatch));
-      SNUG_ENSURE(ibuf_len_ > 0 && ibuf_len_ <= kFetchBatch);
-      ibuf_pos_ = 0;
-    }
-    const std::uint8_t code = icode_[ibuf_pos_];
-    RobEntry entry;
-    entry.done_at = now + 1;
-    if ((code >> 1) == 1) {  // kLoad or kStore
-      const bool is_write = code & 1;
-      stats_.loads += !is_write;
-      stats_.stores += is_write;
-      entry.is_mem = true;
-      ++lsq_used_;
-      const Cycle completion =
-          mem_.data_access(id_, iaddr_[ibuf_pos_], is_write, now);
-      // Port contract (completion > now): a per-instruction hot-path
-      // precondition — checked in dev builds, compiled out in the
-      // measurement configurations (common/require.hpp).
-      SNUG_REQUIRE(completion > now);
-      // Stores update cache state and consume bandwidth but commit
-      // without waiting for the line (store-buffer semantics); loads
-      // occupy their ROB entry until the data arrives.
-      if (!is_write) entry.done_at = completion;
-    } else {
-      stats_.branches += (code & 7) == 1;
-      if (code & trace::kInstrMispredictBit) {
-        ++stats_.mispredicts;
-        fetch_stall_until_ = now + cfg_.branch_penalty;
-      }
-    }
-    ++ibuf_pos_;
-    std::uint32_t tail = rob_head_ + rob_size_;
-    if (tail >= rob_entries) tail -= rob_entries;
-    rob[tail] = entry;
-    ++rob_size_;
   }
 
   CoreId id_;
@@ -524,7 +425,7 @@ class Core {
   std::uint32_t ibuf_pos_ = 0;
   std::uint32_t ibuf_len_ = 0;
 
-  // Parked shared-state event (see step_masked): the half-dispatched
+  // Parked shared-state event (see step): the half-dispatched
   // instruction waiting for its (cycle, core) sweep slot.
   enum class Pending : std::uint8_t { kNone, kData, kIfetch };
   Pending pending_ = Pending::kNone;

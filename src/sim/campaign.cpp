@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "common/str.hpp"
 #include "sim/journal.hpp"
-#include "sim/lane_engine.hpp"
 
 namespace snug::sim {
 
@@ -128,10 +127,8 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   std::mutex hook_mu;
   std::size_t done = 0;
 
-  // Shared post-result bookkeeping: journal checkpoint, progress hook,
-  // per-combo countdown, combo-completion hook.  Identical for the
-  // scalar and lane paths so the two engines are interchangeable
-  // downstream.
+  // Post-result bookkeeping: journal checkpoint, progress hook,
+  // per-combo countdown, combo-completion hook.
   const auto finish_task = [&](std::size_t i) {
     const std::size_t c = i / n_schemes;
     const auto& combo = combos[c];
@@ -179,10 +176,11 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
   const unsigned max_attempts = retry.max_attempts > 0
                                     ? retry.max_attempts
                                     : 1;
-  const auto with_retry = [&](const auto& attempt) {
+  const auto run_cell = [&](std::size_t i) {
     for (unsigned a = 1;; ++a) {
       try {
-        attempt();
+        slots[i] = runner_.run(combos[i / n_schemes],
+                               spec.schemes[i % n_schemes]);
         return;
       } catch (const fault::TransientError&) {
         if (a >= max_attempts) throw;
@@ -193,81 +191,29 @@ CampaignResults CampaignEngine::run(const CampaignSpec& spec) {
     }
   };
 
+  std::vector<std::size_t> todo;
+  todo.reserve(n_tasks);
+  for (std::size_t i = 0; i < n_tasks; ++i) {
+    if (pending[i]) todo.push_back(i);
+  }
   // Name tasks for the watchdog: a flag line must identify the wedged
   // CELL (combo/scheme + run fingerprint), not just the worker index.
   // The label fn captures locals of this run(), so it is cleared before
   // they go out of scope.
-  const auto cell_label = [&](std::size_t i) {
-    return strf("(%s/%s fp=%016llx)", combos[i / n_schemes].name.c_str(),
-                spec.schemes[i % n_schemes].id().c_str(),
-                static_cast<unsigned long long>(fps[i]));
-  };
   struct LabelGuard {
     ParallelExecutor& exec;
     ~LabelGuard() { exec.task_label = nullptr; }
   } label_guard{exec_};
-
-  if (const std::uint32_t lanes = runner_.scale().lanes; lanes > 1) {
-    // Lane-parallel path: the executor's work items are lane-group
-    // plans, each running its points in lockstep through one
-    // LaneGroup (sim/lane_engine.hpp).  plan_lane_groups chunks
-    // scheme-major — a group's lanes share the scheme and differ only
-    // in workload combo (seed / rotated variant) — and plans carry the
-    // same combo-major task indices as the scalar path, so slot
-    // layout, progress accounting and per-combo completion are
-    // untouched.
-    const std::vector<LaneGroupPlan> plans =
-        plan_lane_groups(combos.size(), n_schemes, lanes);
-    exec_.task_label = [&](std::size_t p) {
-      std::string label = strf("(group of %zu:", plans[p].tasks.size());
-      for (const std::size_t i : plans[p].tasks) {
-        // Appended in two steps: GCC 12's -O3 restrict checker flags
-        // the `" " + cell_label(i)` temporary as a false positive.
-        label += ' ';
-        label += cell_label(i);
-      }
-      label += ')';
-      return label;
-    };
-    exec_.run_indexed(plans.size(), [&](std::size_t p) {
-      const LaneGroupPlan& plan = plans[p];
-      // Journal-replayed cells drop out of the group; shrinking a group
-      // cannot change results (lane ≡ scalar is pinned bit-identical).
-      std::vector<std::size_t> tasks;
-      tasks.reserve(plan.tasks.size());
-      for (const std::size_t i : plan.tasks) {
-        if (pending[i]) tasks.push_back(i);
-      }
-      if (tasks.empty()) return;
-      std::vector<ExperimentRunner::GroupPoint> points;
-      points.reserve(tasks.size());
-      for (const std::size_t i : tasks) {
-        points.push_back(
-            {combos[i / n_schemes], spec.schemes[i % n_schemes]});
-      }
-      std::vector<RunResult> group;
-      with_retry([&] { group = runner_.run_group(points); });
-      for (std::size_t l = 0; l < tasks.size(); ++l) {
-        slots[tasks[l]] = std::move(group[l]);
-        finish_task(tasks[l]);
-      }
-    });
-  } else {
-    std::vector<std::size_t> todo;
-    todo.reserve(n_tasks);
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      if (pending[i]) todo.push_back(i);
-    }
-    exec_.task_label = [&](std::size_t t) { return cell_label(todo[t]); };
-    exec_.run_indexed(todo.size(), [&](std::size_t t) {
-      const std::size_t i = todo[t];
-      with_retry([&] {
-        slots[i] = runner_.run(combos[i / n_schemes],
-                               spec.schemes[i % n_schemes]);
-      });
-      finish_task(i);
-    });
-  }
+  exec_.task_label = [&](std::size_t t) {
+    const std::size_t i = todo[t];
+    return strf("(%s/%s fp=%016llx)", combos[i / n_schemes].name.c_str(),
+                spec.schemes[i % n_schemes].id().c_str(),
+                static_cast<unsigned long long>(fps[i]));
+  };
+  exec_.run_indexed(todo.size(), [&](std::size_t t) {
+    run_cell(todo[t]);
+    finish_task(todo[t]);
+  });
   stats_.retries = retries.load(std::memory_order_relaxed);
   stats_.watchdog_flags = exec_.watchdog_flagged() - flags_before;
   if (journal) {

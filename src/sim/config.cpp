@@ -7,12 +7,6 @@
 
 namespace snug::sim {
 
-void RunScale::scale_by(std::uint64_t factor) {
-  warmup_cycles *= factor;
-  measure_cycles *= factor;
-  phase_period_refs *= factor;
-}
-
 SystemConfig paper_system_config() {
   SystemConfig cfg;
   // Core (Table 4): issue/commit 8/8, RUU 128, LSQ 64, 3-cycle branch
@@ -35,7 +29,7 @@ SystemConfig paper_system_config() {
       cfg.scheme_ctx.priv.l2.associativity();
   cfg.scheme_ctx.snug.monitor.k_bits = 4;
   cfg.scheme_ctx.snug.monitor.p = 8;
-  // See core::EpochConfig: 2 M identify / 10 M group at default scale;
+  // See core::EpochConfig: 1.5 M identify / 6 M group at default scale;
   // SNUG_FULL_SCALE=1 restores the paper's 5 M / 100 M epochs.
   cfg.scheme_ctx.snug.epochs = core::EpochConfig{};
   if (const char* env = std::getenv("SNUG_FULL_SCALE");
@@ -121,14 +115,6 @@ std::uint64_t config_fingerprint(const SystemConfig& cfg,
   // simulated history and gets its own cache lineage.
   if (scale.warmup_mode == WarmupMode::kFunctional) {
     descriptor += "|wmode=f";
-  }
-  // Lane width: W > 1 is proven bit-identical to scalar (lane
-  // equivalence tests), but the suffix keeps non-default widths in a
-  // separate cache lineage so a regression in that proof can never
-  // silently poison results cached by the scalar engine.  lanes=1 keeps
-  // the pre-knob fingerprint (golden fig9 hashes included).
-  if (scale.lanes != 1) {
-    descriptor += strf("|lanes=%u", scale.lanes);
   }
   return Rng::derive_seed(descriptor);
 }

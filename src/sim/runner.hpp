@@ -14,6 +14,8 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +99,24 @@ class EvalCache {
 
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
+
+  /// Verdict on one entry file's bytes (see the class comment).
+  enum class Verdict : std::uint8_t {
+    kOk,       ///< well-formed and current
+    kStale,    ///< valid file answering a different question: leave it
+    kCorrupt,  ///< structurally damaged: quarantine it
+  };
+  struct Decoded {
+    Verdict verdict = Verdict::kCorrupt;
+    std::uint64_t fingerprint = 0;  ///< header fingerprint (kOk only)
+    std::vector<double> ipc;        ///< payload (kOk only)
+  };
+  /// The one entry decoder, shared by load() and the service's answer
+  /// index.  With `expect` set, a fingerprint mismatch is stale and
+  /// decided from the header alone, before any size or CRC check.
+  [[nodiscard]] static Decoded decode(
+      std::span<const std::byte> raw,
+      std::optional<std::uint64_t> expect = std::nullopt);
 
   [[nodiscard]] bool load(const std::string& key, std::uint64_t fingerprint,
                           std::vector<double>& ipc) const;
@@ -183,22 +203,6 @@ class ExperimentRunner {
   /// threads concurrently; each call simulates on its own CmpSystem.
   RunResult run(const trace::WorkloadCombo& combo,
                 const schemes::SchemeSpec& spec);
-
-  /// One lane-group point: a (combo, scheme) task.
-  struct GroupPoint {
-    trace::WorkloadCombo combo;
-    schemes::SchemeSpec spec;
-  };
-
-  /// Runs several points as one lane group (sim/lane_engine.hpp):
-  /// cache-resident points are served immediately, the remaining points
-  /// are built as independent lanes of one LaneGroup and advanced in
-  /// lockstep through the masked stepping path.  Results — IPC vectors,
-  /// cache entries, warm-bank traffic — are bit-identical to calling
-  /// run() per point (lane equivalence is pinned per scheme by
-  /// tests/sim/lane_equivalence_test.cpp); only host throughput
-  /// differs.  Thread-safe like run().
-  std::vector<RunResult> run_group(const std::vector<GroupPoint>& points);
 
   /// Re-publishes a known-good result into the eval cache — the exact
   /// store run() would have performed.  Used by campaign journal replay

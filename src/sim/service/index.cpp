@@ -2,25 +2,11 @@
 
 #include <sys/stat.h>
 
-#include <cstring>
-
-#include "common/crc32.hpp"
 #include "sim/runner.hpp"
 #include "sim/store_recovery.hpp"
 
 namespace snug::sim::service {
 namespace {
-
-// Mirror of the EvalCache entry header (sim/runner.cpp); the layout is
-// part of the on-disk format and pinned by eval_cache tests.
-struct CacheHeader {
-  std::uint32_t magic;
-  std::uint32_t version;
-  std::uint64_t fingerprint;
-  std::uint32_t count;
-  std::uint32_t payload_crc;
-};
-static_assert(sizeof(CacheHeader) == 24, "header layout must be packed");
 
 constexpr std::size_t kInitialSlots = 1024;  // power of two
 
@@ -106,37 +92,22 @@ bool AnswerIndex::index_file_locked(const std::string& name) {
   std::vector<std::byte> raw;
   if (!env_->read_file(dir_ + "/" + name, raw)) return false;
 
-  const auto corrupt = [&] {
+  const EvalCache::Decoded entry = EvalCache::decode(raw);
+  if (entry.verdict != EvalCache::Verdict::kOk) {
     // Same discipline as EvalCache::load: structurally damaged files
-    // are quarantined (never deleted) so they stop shadowing stores.
-    if (quarantine_entry(
+    // are quarantined (never deleted) so they stop shadowing stores;
+    // stale ones stay in place.
+    if (entry.verdict == EvalCache::Verdict::kCorrupt &&
+        quarantine_entry(
             *env_, dir_, name,
             quarantine_seq_.fetch_add(1, std::memory_order_relaxed))) {
       ++counters_.quarantined;
     }
     ++counters_.files_rejected;
     return false;
-  };
-
-  if (raw.size() < sizeof(CacheHeader)) return corrupt();
-  CacheHeader hdr;
-  std::memcpy(&hdr, raw.data(), sizeof hdr);
-  if (hdr.magic != EvalCache::kMagic) return corrupt();
-  if (hdr.version != EvalCache::kVersion) {
-    ++counters_.files_rejected;  // stale, not corrupt — leave in place
-    return false;
   }
-  if (hdr.count == 0 || hdr.count > EvalCache::kMaxEntries) {
-    return corrupt();
-  }
-  const std::size_t payload_bytes = hdr.count * sizeof(double);
-  if (raw.size() != sizeof hdr + payload_bytes) return corrupt();
-  if (crc32c(raw.data() + sizeof hdr, payload_bytes) != hdr.payload_crc) {
-    return corrupt();
-  }
-  std::vector<double> ipc(hdr.count);
-  std::memcpy(ipc.data(), raw.data() + sizeof hdr, payload_bytes);
-  insert_locked(hdr.fingerprint, ipc.data(), hdr.count);
+  insert_locked(entry.fingerprint, entry.ipc.data(),
+                static_cast<std::uint32_t>(entry.ipc.size()));
   ++counters_.files_indexed;
   return true;
 }

@@ -5,8 +5,8 @@
 // (EvalCache::load) plus a journal append per hit — ~0.4 ms of syscalls
 // for a result that never changes.  The index front-loads that work:
 // on server open it scans the cache directory ONCE, validates each
-// entry exactly the way EvalCache::load does (magic, version, count
-// bound, exact size, payload CRC-32C), and pins the fingerprint -> IPC
+// entry with EvalCache::decode, the decoder EvalCache::load uses
+// (magic, version, count bound, exact size, payload CRC-32C), and pins the fingerprint -> IPC
 // mapping in an open-addressing hash table.  A warm lookup is then a
 // couple of L1-resident probes — zero directory scans, zero file
 // reads, zero journal traffic.

@@ -63,17 +63,14 @@ void CmpSystem::build(const schemes::SchemeSpec& spec,
   core_wake_.assign(cfg.num_cores, 0);
 }
 
-void CmpSystem::run(Cycle cycles) { run_impl<false>(cycles); }
-
-void CmpSystem::run_masked(Cycle cycles) { run_impl<true>(cycles); }
-
-template <bool kMasked>
-void CmpSystem::run_impl(Cycle cycles) {
+void CmpSystem::run(Cycle cycles) {
   // Event-skipping loop: a core is stepped only at cycles where it can
-  // change state (Core::step returns the next such cycle), the scheme's
-  // tick is consulted only when it declares periodic work, and the
-  // write-back buffers drain at their own deadlines — the whole timing
-  // back-end follows one event-horizon discipline.  Time jumps straight
+  // change state (Core::step free-runs through core-local work and
+  // returns the next such cycle — a parked L1 miss, or its next event
+  // at or beyond the window end), the scheme's tick is consulted only
+  // when it declares periodic work, and the write-back buffers drain at
+  // their own deadlines — the whole timing back-end follows one
+  // event-horizon discipline.  Time jumps straight
   // to the earliest pending event, clamped to the next scheme epoch
   // boundary and the next WBB drain so boundary callbacks and drains
   // fire at exactly the same cycles as under per-cycle stepping — the
@@ -108,13 +105,7 @@ void CmpSystem::run_impl(Cycle cycles) {
       Cycle next = end;
 #pragma GCC unroll 16
       for (std::size_t c = 0; c < kCores; ++c) {
-        if (wake[c] <= now_) {
-          if constexpr (kMasked) {
-            wake[c] = cores[c]->step_masked(now_, end);
-          } else {
-            wake[c] = cores[c]->step(now_);
-          }
-        }
+        if (wake[c] <= now_) wake[c] = cores[c]->step(now_, end);
         next = wake[c] < next ? wake[c] : next;
       }
       if (now_ >= boundary) {
@@ -132,13 +123,7 @@ void CmpSystem::run_impl(Cycle cycles) {
       if (now_ >= scheme->next_drain_cycle()) scheme->drain(now_);
       Cycle next = end;
       for (std::size_t c = 0; c < n; ++c) {
-        if (wake[c] <= now_) {
-          if constexpr (kMasked) {
-            wake[c] = cores[c]->step_masked(now_, end);
-          } else {
-            wake[c] = cores[c]->step(now_);
-          }
-        }
+        if (wake[c] <= now_) wake[c] = cores[c]->step(now_, end);
         next = wake[c] < next ? wake[c] : next;
       }
       if (now_ >= boundary) {

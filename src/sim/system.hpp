@@ -26,19 +26,11 @@ class CmpSystem final : public cpu::MemoryPort {
   CmpSystem(const ScenarioSpec& scenario, const schemes::SchemeSpec& spec,
             const trace::WorkloadCombo& combo);
 
-  /// Advances the machine by `cycles` core cycles.
+  /// Advances the machine by `cycles` core cycles.  Each core free-runs
+  /// through its core-local work (cpu::Core::step) and parks at L1
+  /// misses, so shared-state events execute in exact global
+  /// (cycle, core) order.  Resumable: run(a + b) == run(a); run(b).
   void run(Cycle cycles);
-
-  /// run() with free-running cores (cpu::Core::step_masked): each core
-  /// simulates ahead through its core-local work — plain instructions,
-  /// L1 hits, retirement — in one call, parking at shared-state events
-  /// (L1 misses) so those still execute in exact global (cycle, core)
-  /// order.  The simulated state evolution is bit-identical to run();
-  /// only the host-side scheduling differs.  The lane engine
-  /// (sim/lane_engine.hpp) uses this for its lane quanta; run() and
-  /// run_masked() may be interleaved freely on one machine (no park
-  /// survives a run window).
-  void run_masked(Cycle cycles);
 
   /// Functional fast-forward warm-up (warmup-mode=functional): drives
   /// the same instruction streams through the same L1/L2/scheme *state*
@@ -75,24 +67,21 @@ class CmpSystem final : public cpu::MemoryPort {
   /// pipeline (stats/counters.hpp).
   [[nodiscard]] stats::CounterReport counter_report() const;
 
-  // cpu::MemoryPort, split into a core-local probe and a shared-state
-  // miss half.  The split serves the free-running lane path
-  // (cpu::Core::step_masked): the probe touches only the calling core's
-  // L1 — rank updates, dirty marks, hit/miss counters — so a core may
-  // issue it while running ahead of the global clock, and park before
-  // the miss half, which reaches the scheme/bus/DRAM and must happen in
-  // global (cycle, core) order.  data_access/inst_fetch compose the two
-  // halves verbatim, so the scalar path is bit-identical by
-  // construction.  All defined inline: these calls are the boundary
-  // between the core model and the memory hierarchy — every simulated
-  // load, store and ifetch crosses it, and the L1-hit fast path below
-  // must fold into the caller rather than pay a cross-TU call.
-  bool probe_data(CoreId core, Addr addr, bool is_write) {
+  // cpu::MemoryPort: the probe touches only the calling core's L1 —
+  // rank updates, dirty marks, hit/miss counters — so a core may issue
+  // it while running ahead of the global clock, and park before the
+  // miss half, which reaches the scheme/bus/DRAM and must happen in
+  // global (cycle, core) order.  All defined inline: these calls are the
+  // boundary between the core model and the memory hierarchy — every
+  // simulated load, store and ifetch crosses it, and the L1-hit fast
+  // path below must fold into the caller rather than pay a cross-TU
+  // call.
+  bool probe_data(CoreId core, Addr addr, bool is_write) override {
     return l1d_[core].access_local(addr, is_write).hit;
   }
 
-  /// The L1D-miss half: `probe_data` already ran and missed.
-  Cycle miss_data(CoreId core, Addr addr, bool is_write, Cycle now) {
+  Cycle miss_data(CoreId core, Addr addr, bool is_write,
+                  Cycle now) override {
     cache::SetAssocCache& l1 = l1d_[core];
     const Cycle completion = scheme_->access(core, addr, is_write, now);
     const Addr block = l1.geometry().block_of(addr);
@@ -104,12 +93,11 @@ class CmpSystem final : public cpu::MemoryPort {
     return completion > now ? completion : now + 1;
   }
 
-  bool probe_inst(CoreId core, Addr addr) {
+  bool probe_inst(CoreId core, Addr addr) override {
     return l1i_[core].access_local(addr, false).hit;
   }
 
-  /// The L1I-miss half: `probe_inst` already ran and missed.
-  Cycle miss_inst(CoreId core, Addr addr, Cycle now) {
+  Cycle miss_inst(CoreId core, Addr addr, Cycle now) override {
     cache::SetAssocCache& l1 = l1i_[core];
     const Cycle completion = scheme_->access(core, addr, false, now);
     const Addr block = l1.geometry().block_of(addr);
@@ -117,13 +105,16 @@ class CmpSystem final : public cpu::MemoryPort {
     return completion > now ? completion : now + 1;
   }
 
-  Cycle data_access(CoreId core, Addr addr, bool is_write,
-                    Cycle now) override {
+  /// A whole data access (probe, then the miss half on a miss) —
+  /// the per-reference driver for warm_functional and the hot-path
+  /// bench.  Returns the completion cycle.
+  Cycle data_access(CoreId core, Addr addr, bool is_write, Cycle now) {
     if (probe_data(core, addr, is_write)) return now + 1;
     return miss_data(core, addr, is_write, now);
   }
 
-  Cycle inst_fetch(CoreId core, Addr addr, Cycle now) override {
+  /// A whole instruction fetch of the block containing `addr`.
+  Cycle inst_fetch(CoreId core, Addr addr, Cycle now) {
     if (probe_inst(core, addr)) return now + 1;
     return miss_inst(core, addr, now);
   }
@@ -142,9 +133,6 @@ class CmpSystem final : public cpu::MemoryPort {
   void build(const schemes::SchemeSpec& spec,
              const trace::WorkloadCombo& combo, const RunScale& scale);
 
-  template <bool kMasked>
-  void run_impl(Cycle cycles);
-
   SystemConfig cfg_;
   std::unique_ptr<bus::SnoopBus> bus_;
   std::unique_ptr<dram::DramModel> dram_;
@@ -155,7 +143,7 @@ class CmpSystem final : public cpu::MemoryPort {
   std::vector<cache::SetAssocCache> l1d_;
   std::vector<std::unique_ptr<trace::SyntheticStream>> streams_;
   // Cores are sealed against this (final) system: the per-instruction
-  // data_access/inst_fetch calls devirtualise and inline.
+  // probe and miss calls devirtualise and inline.
   std::vector<std::unique_ptr<cpu::Core<CmpSystem>>> cores_;
   // Per-core next-event cycle: run() skips a core while now_ is below its
   // wake cycle instead of re-entering a no-op step() every cycle.

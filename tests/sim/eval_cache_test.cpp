@@ -232,6 +232,36 @@ TEST(EvalCache, RejectsFlippedPayloadBitViaCrc) {
   EXPECT_FALSE(cache.load("k", 42, ipc));
 }
 
+// EvalCache::decode is the one entry decoder behind load() and the
+// service's AnswerIndex: ok / stale / corrupt, plus the header
+// fingerprint.  With an expected fingerprint, a mismatch is stale from
+// the header alone, so a damaged entry for another question stays put.
+TEST(EvalCache, DecodeClassifiesOkStaleAndCorrupt) {
+  TempCacheDir tmp;
+  EvalCache cache(tmp.dir.string());
+  cache.store("k", 42, {1.5, 2.5});
+  std::vector<std::byte> raw(
+      std::filesystem::file_size(entry_file(tmp, "k")));
+  {
+    std::ifstream f(entry_file(tmp, "k"), std::ios::binary);
+    f.read(reinterpret_cast<char*>(raw.data()),
+           static_cast<std::streamsize>(raw.size()));
+  }
+
+  const EvalCache::Decoded ok = EvalCache::decode(raw);
+  EXPECT_EQ(ok.verdict, EvalCache::Verdict::kOk);
+  EXPECT_EQ(ok.fingerprint, 42U);
+  EXPECT_EQ(ok.ipc, (std::vector<double>{1.5, 2.5}));
+  EXPECT_EQ(EvalCache::decode(raw, 42).verdict, EvalCache::Verdict::kOk);
+  EXPECT_EQ(EvalCache::decode(raw, 7).verdict, EvalCache::Verdict::kStale);
+
+  raw.pop_back();  // torn payload
+  EXPECT_EQ(EvalCache::decode(raw).verdict, EvalCache::Verdict::kCorrupt);
+  EXPECT_EQ(EvalCache::decode(raw, 42).verdict,
+            EvalCache::Verdict::kCorrupt);
+  EXPECT_EQ(EvalCache::decode(raw, 7).verdict, EvalCache::Verdict::kStale);
+}
+
 TEST(EvalCache, QuarantinesCorruptEntriesKeepsStaleOnes) {
   TempCacheDir tmp;
   EvalCache cache(tmp.dir.string());

@@ -10,8 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <vector>
 
-#include "common/str.hpp"
+#include "common/rng.hpp"
 #include "trace/profile.hpp"
 
 namespace snug::sim {
@@ -292,43 +293,102 @@ TEST(Scenario, MonitorSampleKnob) {
   EXPECT_NE(error.find("monitor-sample"), std::string::npos);
 }
 
-TEST(Scenario, LanesKnob) {
-  // ISSUE 7: widths {1, 2, 4, 8} parse; anything else is rejected with
-  // a message naming the knob and the supported set.
+TEST(Scenario, LanesKeyIsUnknown) {
+  // Lane packing is gone: the key is rejected like any unknown key.
   ScenarioSpec spec;
   std::string error;
-  for (const std::uint32_t w : {1U, 2U, 4U, 8U}) {
-    ASSERT_TRUE(parse_scenario(strf("lanes=%u", w), spec, error)) << error;
-    EXPECT_EQ(spec.scale.lanes, w);
-  }
-  for (const char* bad : {"lanes=0", "lanes=3", "lanes=16", "lanes=7"}) {
-    EXPECT_FALSE(parse_scenario(bad, spec, error)) << bad;
-    EXPECT_NE(error.find("lanes"), std::string::npos) << error;
-    EXPECT_NE(error.find("1, 2, 4 or 8"), std::string::npos) << error;
-  }
+  EXPECT_FALSE(parse_scenario("lanes=4", spec, error));
+  EXPECT_NE(error.find("unknown scenario key 'lanes'"), std::string::npos)
+      << error;
+}
 
-  // The knob round-trips through the canonical spec string when
-  // non-default...
-  ASSERT_TRUE(parse_scenario("lanes=4", spec, error)) << error;
-  ScenarioSpec reparsed;
-  ASSERT_TRUE(parse_scenario(spec.spec_string(), reparsed, error)) << error;
-  EXPECT_EQ(reparsed.scale.lanes, 4U);
-  // ...and is absent from default spec strings (golden round-trip pins).
-  EXPECT_EQ(ScenarioSpec::paper().spec_string().find("lanes"),
-            std::string::npos);
+// Seeded fuzz loop over the grammar: mutated and spliced spec strings
+// must either be rejected with a diagnostic or parse into a spec whose
+// canonical spec_string() re-parses to the same fingerprint.
+TEST(Scenario, FuzzedSpecsRejectOrRoundTrip) {
+  const std::vector<std::string> corpus = {
+      "",
+      "name=stress cores=8 l1-kb=64 l1-assoc=8 l2-kb=512 l2-assoc=8 "
+      "line-bytes=64 bus-bytes=32 bus-ratio=2 dram-latency=200",
+      "cores=8 workload=1A+1C variants=3 monitor-sample=8",
+      "cores=16 workload=2A+1B+1C,l2-kb=256",
+      "workload=class3 warmup-mode=functional warmup-cycles=1000",
+      "workload=ammp+parser+bzip2+mcf measure-cycles=5000 phase-refs=77",
+      "cores=2 workload=A+C dram-latency=1 bus-bytes=8",
+      "workload=paper warmup-mode=timing monitor-sample=1",
+  };
+  // Directive parts spliced in: every key (and one removed key), odd
+  // values and separators.
+  const std::vector<std::string> keys = {
+      "name", "cores", "l1-kb", "l1-assoc", "l2-kb", "l2-assoc",
+      "line-bytes", "bus-bytes", "bus-ratio", "dram-latency",
+      "monitor-sample", "workload", "variants", "warmup-mode",
+      "warmup-cycles", "measure-cycles", "phase-refs", "lanes"};
+  const std::vector<std::string> values = {
+      "0", "1", "2", "4", "8", "16", "64", "128", "512", "-1", "4294967296",
+      "18446744073709551616", "functional", "timing", "paper", "class0",
+      "class2", "class7", "1A+1C", "2A+1B+1C", "A+", "+", "=", "#", "gzip",
+      "ammp+parser+bzip2+mcf", "mesa+mesa", "ammp+quake3", "2E"};
+  const std::string alphabet =
+      "abcdefghijklmnopqrstuvwxyzABC0123456789=+-_, \t\n#.";
 
-  // Fingerprint: lanes=1 is the scalar engine and keeps the pre-knob
-  // fingerprint (eval-cache entries and golden figure hashes stay
-  // valid); any wider width gets its own cache lineage.
-  ASSERT_TRUE(parse_scenario("lanes=1", spec, error)) << error;
-  EXPECT_EQ(scenario_fingerprint(spec),
-            scenario_fingerprint(ScenarioSpec::paper()));
-  std::set<std::uint64_t> fps{scenario_fingerprint(ScenarioSpec::paper())};
-  for (const std::uint32_t w : {2U, 4U, 8U}) {
-    ASSERT_TRUE(parse_scenario(strf("lanes=%u", w), spec, error)) << error;
-    fps.insert(scenario_fingerprint(spec));
+  Rng rng(Rng::derive_seed("scenario-fuzz"));
+  const auto pick = [&](const auto& v) -> const auto& {
+    return v[rng.below(v.size())];
+  };
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text = pick(corpus);
+    const int edits = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t pos = rng.below(text.size() + 1);
+      switch (rng.below(6)) {
+        case 0:  // append a whole directive
+          text += (rng.chance(0.5) ? " " : ",") + pick(keys) + "=" +
+                  pick(values);
+          break;
+        case 1:  // insert a key or value fragment
+          text.insert(pos, rng.chance(0.5) ? pick(keys) : pick(values));
+          break;
+        case 2:  // insert one character
+          text.insert(pos, 1, alphabet[rng.below(alphabet.size())]);
+          break;
+        case 3:  // delete a short range
+          if (pos < text.size()) text.erase(pos, 1 + rng.below(6));
+          break;
+        case 4:  // replace one character
+          if (pos < text.size()) {
+            text[pos] = alphabet[rng.below(alphabet.size())];
+          }
+          break;
+        default: {  // splice: this prefix + another string's suffix
+          const std::string& other = pick(corpus);
+          text = text.substr(0, pos) +
+                 other.substr(rng.below(other.size() + 1));
+          break;
+        }
+      }
+    }
+
+    ScenarioSpec spec;
+    std::string error;
+    if (!parse_scenario(text, spec, error)) {
+      EXPECT_FALSE(error.empty()) << "'" << text << "'";
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string canonical = spec.spec_string();
+    ScenarioSpec reparsed;
+    ASSERT_TRUE(parse_scenario(canonical, reparsed, error))
+        << "'" << text << "' -> '" << canonical << "': " << error;
+    EXPECT_EQ(scenario_fingerprint(reparsed), scenario_fingerprint(spec))
+        << "'" << text << "' -> '" << canonical << "'";
   }
-  EXPECT_EQ(fps.size(), 4U);  // 1, 2, 4, 8 all distinct lineages
+  // The mutations must exercise both verdicts.
+  EXPECT_GT(accepted, 200U);
+  EXPECT_GT(rejected, 200U);
 }
 
 TEST(Scenario, SummaryMentionsTopologyAndWorkload) {

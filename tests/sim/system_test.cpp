@@ -49,6 +49,27 @@ TEST(System, DeterministicAcrossInstances) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
+// run() is resumable across window splits: the 10k windows cut cores
+// mid free-run, and a park must never outlive its window.  One run of
+// 130k cycles and 13 runs of 10k land in the same state.
+TEST(System, RunIsResumableAcrossWindowSplits) {
+  const SystemConfig cfg = paper_system_config();
+  const schemes::SchemeSpec snug{schemes::SchemeKind::kSNUG, 0};
+  CmpSystem whole(cfg, snug, mixed_combo(), tiny_scale());
+  whole.run(130'000);
+
+  CmpSystem split(cfg, snug, mixed_combo(), tiny_scale());
+  for (int i = 0; i < 13; ++i) split.run(10'000);
+
+  ASSERT_EQ(split.now(), whole.now());
+  const std::vector<double> a = split.measured_ipc();
+  const std::vector<double> b = whole.measured_ipc();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  EXPECT_EQ(stats::render_counter_report(split.counter_report()),
+            stats::render_counter_report(whole.counter_report()));
+}
+
 TEST(System, L1FiltersMostAccesses) {
   const SystemConfig cfg = paper_system_config();
   CmpSystem sys(cfg, {schemes::SchemeKind::kL2P, 0}, mixed_combo(),
