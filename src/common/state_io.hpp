@@ -77,7 +77,7 @@ class StateReader {
   void bytes(std::byte* out, std::size_t n) {
     ++field_;
     check_room(n, "byte run");
-    std::memcpy(out, p_, n);
+    if (n != 0) std::memcpy(out, p_, n);  // `out` may be null when n == 0
     p_ += n;
   }
 
@@ -100,7 +100,7 @@ class StateReader {
         field_, static_cast<unsigned long long>(count), sizeof(T),
         remaining());
     std::vector<T> v(static_cast<std::size_t>(count));
-    std::memcpy(v.data(), p_, v.size() * sizeof(T));
+    if (!v.empty()) std::memcpy(v.data(), p_, v.size() * sizeof(T));
     p_ += v.size() * sizeof(T);
     return v;
   }

@@ -4,8 +4,9 @@
 
 #include <cstring>
 
-#include "common/crc32.hpp"
 #include "common/str.hpp"
+#include "sim/record_store.hpp"
+#include "sim/runner.hpp"
 #include "sim/store_recovery.hpp"
 
 namespace snug::sim {
@@ -52,33 +53,17 @@ CampaignJournal::CampaignJournal(std::string path,
     return;
   }
 
-  // Replay the valid record prefix; the first frame that fails any
-  // check — short, implausible length, CRC mismatch, inconsistent
-  // count — is a torn tail (a killed appender) and everything from it
+  // Replay the valid frame prefix; the first frame that does not decode
+  // ok — short, implausible count, CRC mismatch, foreign magic or
+  // version — is a torn tail (a killed appender) and everything from it
   // on is discarded.
-  std::size_t off = sizeof hdr;
-  std::size_t valid_end = off;
-  while (off + 8 <= raw.size()) {
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, raw.data() + off, 4);
-    std::memcpy(&crc, raw.data() + off + 4, 4);
-    if (len < 12 || len > 12 + std::size_t{kMaxIpc} * 8 ||
-        off + 8 + len > raw.size()) {
-      break;
-    }
-    const std::byte* payload = raw.data() + off + 8;
-    if (crc32c(payload, len) != crc) break;
-    std::uint64_t fp = 0;
-    std::uint32_t count = 0;
-    std::memcpy(&fp, payload, 8);
-    std::memcpy(&count, payload + 8, 4);
-    if (count == 0 || count > kMaxIpc || len != 12 + count * 8) break;
-    std::vector<double> ipc(count);
-    std::memcpy(ipc.data(), payload + 12, count * 8);
-    records_[fp] = std::move(ipc);
-    off += 8 + len;
-    valid_end = off;
+  std::size_t valid_end = sizeof hdr;
+  while (valid_end < raw.size()) {
+    Record<double> frame = decode_record<double>(
+        EvalCache::kFormat, std::span(raw).subspan(valid_end));
+    if (frame.verdict != RecordVerdict::kOk) break;
+    records_[frame.fingerprint] = std::move(frame.payload);
+    valid_end += frame.consumed;
   }
 
   image_.assign(raw.begin(), raw.begin() + valid_end);
@@ -122,17 +107,11 @@ bool CampaignJournal::lookup(std::uint64_t run_fingerprint,
 
 void CampaignJournal::append(std::uint64_t run_fingerprint,
                              const std::vector<double>& ipc) {
-  if (path_.empty() || ipc.empty() || ipc.size() > kMaxIpc) return;
-
-  const std::uint32_t count = static_cast<std::uint32_t>(ipc.size());
-  const std::uint32_t len = 12 + count * 8;
-  std::vector<std::byte> frame(8 + len);
-  std::memcpy(frame.data() + 8, &run_fingerprint, 8);
-  std::memcpy(frame.data() + 16, &count, 4);
-  std::memcpy(frame.data() + 20, ipc.data(), std::size_t{count} * 8);
-  const std::uint32_t crc = crc32c(frame.data() + 8, len);
-  std::memcpy(frame.data(), &len, 4);
-  std::memcpy(frame.data() + 4, &crc, 4);
+  if (path_.empty() || ipc.empty() || ipc.size() > EvalCache::kMaxEntries) {
+    return;
+  }
+  const std::vector<std::byte> frame =
+      encode_record<double>(EvalCache::kFormat, run_fingerprint, ipc);
 
   const std::lock_guard<std::mutex> lock(append_mu_);
   if (env_->append_file(path_, frame.data(), frame.size())) {

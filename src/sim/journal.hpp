@@ -14,8 +14,9 @@
 //
 // File layout (host-endian, like the stores):
 //   header     u32 magic 'SNUJ' | u32 version | u64 campaign fingerprint
-//   record*    u32 payload len  | u32 CRC-32C(payload) | payload
-//   payload    u64 run fingerprint | u32 ipc count | f64 x count
+//   frame*     one eval-cache record (sim/record_store.hpp) of the
+//              cell's run fingerprint and IPCs — the very bytes
+//              EvalCache::store writes for that cell
 //
 // A journal whose header names a different campaign (or format version)
 // is renamed aside — `<path>.stale.<pid>.<seq>`, never deleted — and a
@@ -39,9 +40,9 @@ namespace snug::sim {
 class CampaignJournal {
  public:
   static constexpr std::uint32_t kMagic = 0x4A554E53;  // "SNUJ"
-  static constexpr std::uint32_t kVersion = 1;
-  /// Same plausibility bound as EvalCache::kMaxEntries.
-  static constexpr std::uint32_t kMaxIpc = 4096;
+  /// v2: frames became eval-cache records (v1 framed `len | crc |
+  /// payload`); a v1 journal is renamed aside as stale.
+  static constexpr std::uint32_t kVersion = 2;
 
   /// Opens (or resumes) the journal at `path` for the campaign whose
   /// identity hashes to `campaign_fingerprint`; pass "" to disable.

@@ -4,12 +4,10 @@
 //
 // The runner is concurrency-safe: any number of threads may call run()
 // on the same instance (the campaign executor in sim/executor.hpp does
-// exactly that), and concurrent processes may share one cache directory —
-// stores are atomic temp-file-then-rename, loads validate a versioned
-// binary header and reject anything truncated or stale.
+// exactly that), and concurrent processes may share one cache directory
+// (the record store's publish and load discipline: sim/record_store.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -22,6 +20,7 @@
 #include "common/fault.hpp"
 #include "common/fsepoch.hpp"
 #include "sim/config.hpp"
+#include "sim/record_store.hpp"
 #include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "sim/warm_state.hpp"
@@ -42,28 +41,10 @@ struct RunResult {
   [[nodiscard]] double throughput() const;
 };
 
-/// One-file-per-entry disk cache keyed by a fingerprint of
-/// (combo, scheme, config, scale).
-///
-/// Entry format (host-endian, `<key>.snugc`; the magic word doubles as
-/// an endianness check):
-///   u32 magic 'SNUG'   u32 format version   u64 key fingerprint
-///   u32 ipc count      u32 payload CRC-32C  f64 x count payload
-/// A load succeeds only when magic, version, fingerprint, exact size and
-/// payload CRC all check out — short reads, torn writes, bit rot and
-/// version bumps all fall through to a fresh simulation.  Rejections are
-/// classified: *stale* entries (wrong version or fingerprint — valid
-/// files that simply answer a different question) stay in place, while
-/// *structurally corrupt* files (bad magic, truncation, trailing bytes,
-/// CRC mismatch, implausible count) are quarantined — renamed into
-/// `<dir>/quarantine/`, never deleted — so they stop shadowing fresh
-/// stores but remain inspectable.  Stores write a uniquely named temp
-/// file and rename() it into place, so a concurrent reader can never
-/// observe a half-written entry; opening a cache reaps temp files whose
-/// writer process is dead (see sim/store_recovery.hpp).  All I/O goes
-/// through the fault::Env seam, so every one of these failure paths is
-/// exercised deterministically by tests/sim/fault_injection_test.cpp.
-class EvalCache {
+/// One-file-per-entry disk cache of per-core IPCs keyed by a fingerprint
+/// of (combo, scheme, config, scale): a `<key>.snugc` record store
+/// (layout, verdicts, quarantine and atomic publish: sim/record_store.hpp).
+class EvalCache : public RecordStore<double> {
  public:
   static constexpr std::uint32_t kMagic = 0x47554E53;  // "SNUG"
   /// v2: the scenario layer — run fingerprints now cover the full
@@ -83,54 +64,20 @@ class EvalCache {
   /// Hard upper bound on plausible per-core entries; anything larger is
   /// treated as corruption.
   static constexpr std::uint32_t kMaxEntries = 4096;
+  /// The entry format — also the frame format of the campaign journal.
+  static constexpr RecordFormat kFormat{kMagic, kVersion, kMaxEntries};
 
-  /// Recovery actions taken by this instance (see the class comment).
-  struct Recovery {
-    std::uint64_t reaped_temps = 0;  ///< dead writers' temps removed on open
-    std::uint64_t quarantined = 0;   ///< corrupt entries renamed aside
-    /// Oldest quarantine/ entries removed at open to stay within the
-    /// kQuarantineCap bound (sim/store_recovery.hpp).
-    std::uint64_t quarantine_trimmed = 0;
-  };
+  /// `dir` is created on demand; pass "" to disable caching.
+  explicit EvalCache(std::string dir)
+      : RecordStore(std::move(dir), ".snugc", kFormat) {}
 
-  /// `dir` is created on demand; pass "" to disable caching.  Opening
-  /// runs the orphaned-temp reap.
-  explicit EvalCache(std::string dir);
-
-  EvalCache(const EvalCache&) = delete;
-  EvalCache& operator=(const EvalCache&) = delete;
-
-  /// Verdict on one entry file's bytes (see the class comment).
-  enum class Verdict : std::uint8_t {
-    kOk,       ///< well-formed and current
-    kStale,    ///< valid file answering a different question: leave it
-    kCorrupt,  ///< structurally damaged: quarantine it
-  };
-  struct Decoded {
-    Verdict verdict = Verdict::kCorrupt;
-    std::uint64_t fingerprint = 0;  ///< header fingerprint (kOk only)
-    std::vector<double> ipc;        ///< payload (kOk only)
-  };
   /// The one entry decoder, shared by load() and the service's answer
-  /// index.  With `expect` set, a fingerprint mismatch is stale and
-  /// decided from the header alone, before any size or CRC check.
+  /// index.
   [[nodiscard]] static Decoded decode(
       std::span<const std::byte> raw,
-      std::optional<std::uint64_t> expect = std::nullopt);
-
-  [[nodiscard]] bool load(const std::string& key, std::uint64_t fingerprint,
-                          std::vector<double>& ipc) const;
-  void store(const std::string& key, std::uint64_t fingerprint,
-             const std::vector<double>& ipc) const;
-  [[nodiscard]] bool enabled() const noexcept { return !dir_.empty(); }
-
-  /// Header-validated probe: true when a well-formed entry for this
-  /// (key, fingerprint) is currently published.  No CRC verdict and no
-  /// quarantine (a later load makes the structural call), mirroring
-  /// WarmStateBank::contains — cheap enough for a service admission
-  /// path.
-  [[nodiscard]] bool contains(const std::string& key,
-                              std::uint64_t fingerprint) const;
+      std::optional<std::uint64_t> expect = std::nullopt) {
+    return decode_record_file<double>(kFormat, raw, expect);
+  }
 
   /// Counts entries published in the directory, picking up entries from
   /// OTHER processes since this instance opened (multi-process
@@ -144,27 +91,12 @@ class EvalCache {
   /// The directory is only LISTED when its stat epoch (mtime_ns, size)
   /// moved since the last refresh — every publish is a rename into the
   /// directory, which perturbs the epoch — so a server polling refresh()
-  /// pays one metadata syscall per call, not a scan (ISSUE 10).  The
-  /// stat is deliberately outside the fault::Env seam: the epoch is a
-  /// pure memoisation key, never a durability decision.
+  /// pays one metadata syscall per call, not a scan.  The stat is
+  /// deliberately outside the fault::Env seam: the epoch is a pure
+  /// memoisation key, never a durability decision.
   std::size_t refresh() const;
 
-  [[nodiscard]] Recovery recovery() const noexcept {
-    return {reaped_temps_.load(std::memory_order_relaxed),
-            quarantined_.load(std::memory_order_relaxed),
-            quarantine_trimmed_.load(std::memory_order_relaxed)};
-  }
-
  private:
-  [[nodiscard]] std::string entry_path(const std::string& key) const;
-
-  const fault::Env* env_;  ///< resolved at construction (fault seam)
-  std::string dir_;
-  mutable std::atomic<std::uint64_t> store_seq_{0};  ///< unique temp names
-  std::atomic<std::uint64_t> reaped_temps_{0};
-  mutable std::atomic<std::uint64_t> quarantined_{0};
-  std::atomic<std::uint64_t> quarantine_trimmed_{0};
-
   /// refresh() memo: the directory's settled epoch at the last listing
   /// (common/fsepoch.hpp) plus the count it produced.
   mutable std::mutex refresh_mu_;

@@ -106,8 +106,8 @@ bool AnswerIndex::index_file_locked(const std::string& name) {
     ++counters_.files_rejected;
     return false;
   }
-  insert_locked(entry.fingerprint, entry.ipc.data(),
-                static_cast<std::uint32_t>(entry.ipc.size()));
+  insert_locked(entry.fingerprint, entry.payload.data(),
+                static_cast<std::uint32_t>(entry.payload.size()));
   ++counters_.files_indexed;
   return true;
 }

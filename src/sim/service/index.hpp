@@ -5,9 +5,9 @@
 // (EvalCache::load) plus a journal append per hit — ~0.4 ms of syscalls
 // for a result that never changes.  The index front-loads that work:
 // on server open it scans the cache directory ONCE, validates each
-// entry with EvalCache::decode, the decoder EvalCache::load uses
-// (magic, version, count bound, exact size, payload CRC-32C), and pins the fingerprint -> IPC
-// mapping in an open-addressing hash table.  A warm lookup is then a
+// entry with EvalCache::decode, the record decoder EvalCache::load uses
+// (sim/record_store.hpp), and pins the fingerprint -> IPC mapping in an
+// open-addressing hash table.  A warm lookup is then a
 // couple of L1-resident probes — zero directory scans, zero file
 // reads, zero journal traffic.
 //

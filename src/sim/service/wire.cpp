@@ -172,6 +172,8 @@ bool parse_answer(const std::string& text, ServiceAnswer& out,
   ServiceAnswer a;
   bool saw_magic = false;
   bool saw_status = false;
+  bool saw_error = false;
+  bool saw_retry = false;
   for (const std::string& line : split(text, '\n')) {
     if (line.empty()) continue;
     if (!saw_magic) {
@@ -198,7 +200,9 @@ bool parse_answer(const std::string& text, ServiceAnswer& out,
       saw_status = true;
     } else if (key == "error") {
       a.error = value;
+      saw_error = true;
     } else if (key == "retry-after-ms") {
+      saw_retry = true;
       char* end = nullptr;
       a.retry_after_ms = std::strtoull(value.c_str(), &end, 10);
       if (end == nullptr || *end != '\0') {
@@ -222,6 +226,14 @@ bool parse_answer(const std::string& text, ServiceAnswer& out,
   }
   if (!saw_magic || !saw_status) {
     error = saw_magic ? "answer is missing status=" : "empty answer";
+    return false;
+  }
+  // Like a batch part: a payload the status does not carry would be
+  // silently dropped on re-encode, so it is malformed.
+  if ((saw_error && a.status != AnswerStatus::kError) ||
+      (saw_retry && a.status != AnswerStatus::kRetryAfter)) {
+    error = strf("error=/retry-after-ms= contradicts status=%s",
+                 status_name(a.status));
     return false;
   }
   out = std::move(a);

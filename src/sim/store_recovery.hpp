@@ -1,12 +1,12 @@
-// Shared crash-recovery helpers for the on-disk stores (ISSUE 8).
+// Shared crash-recovery helpers for the on-disk stores.
 //
-// EvalCache and WarmStateBank publish entries by writing a uniquely
-// named `<key>.tmp.<pid>.<seq>` file and renaming it into place.  A
-// writer killed between the write and the rename leaves the temp behind
-// forever; an entry that fails structural validation (bad magic,
-// truncation, trailing garbage, payload CRC mismatch) used to sit in
-// the directory shadowing every future store.  These helpers implement
-// the two recovery actions both stores run:
+// Every RecordStore (sim/record_store.hpp) publishes entries by writing
+// a uniquely named `<key>.tmp.<pid>.<seq>` file and renaming it into
+// place.  A writer killed between the write and the rename leaves the
+// temp behind forever, and an entry the record decoder calls corrupt
+// would sit in the directory shadowing every future store.  These
+// helpers implement the recovery actions the stores (and the campaign
+// journal) run:
 //
 //   * reap_orphaned_temps — on open, delete temp files whose writer
 //     process is dead (kill(pid, 0) probe).  Temps of live writers are

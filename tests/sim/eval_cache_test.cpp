@@ -7,7 +7,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,6 +17,8 @@
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
+#include "sim/record_store.hpp"
 #include "sim/runner.hpp"
 #include "sim/store_recovery.hpp"
 
@@ -33,6 +37,14 @@ struct TempCacheDir {
 std::filesystem::path entry_file(const TempCacheDir& tmp,
                                  const std::string& key) {
   return tmp.dir / (key + ".snugc");
+}
+
+std::vector<std::byte> read_bytes(const std::filesystem::path& path) {
+  std::vector<std::byte> raw(std::filesystem::file_size(path));
+  std::ifstream f(path, std::ios::binary);
+  f.read(reinterpret_cast<char*>(raw.data()),
+         static_cast<std::streamsize>(raw.size()));
+  return raw;
 }
 
 TEST(EvalCache, RoundTripsExactBits) {
@@ -232,6 +244,30 @@ TEST(EvalCache, RejectsFlippedPayloadBitViaCrc) {
   EXPECT_FALSE(cache.load("k", 42, ipc));
 }
 
+// The v4 entry layout, pinned byte for byte: EvalCache::store writes
+// exactly the hand-built entry RejectsPreScenarioFormatEntries loads —
+// u32 'SNUG' | u32 4 | u64 fingerprint | u32 count | u32 CRC-32C |
+// f64 x count.  Existing cache directories stay warm only while this
+// holds.
+TEST(EvalCache, StoreWritesTheHandBuiltV4Layout) {
+  TempCacheDir tmp;
+  EvalCache cache(tmp.dir.string());
+  const double payload[2] = {1.25, 0.75};
+  cache.store("k", 42, {payload[0], payload[1]});
+
+  std::vector<std::byte> want(24 + sizeof payload);
+  const auto put = [&](std::size_t off, auto v) {
+    std::memcpy(want.data() + off, &v, sizeof v);
+  };
+  put(0, std::uint32_t{0x47554E53});  // "SNUG"
+  put(4, std::uint32_t{4});
+  put(8, std::uint64_t{42});
+  put(16, std::uint32_t{2});
+  put(20, crc32c(payload, sizeof payload));
+  std::memcpy(want.data() + 24, payload, sizeof payload);
+  EXPECT_EQ(read_bytes(entry_file(tmp, "k")), want);
+}
+
 // EvalCache::decode is the one entry decoder behind load() and the
 // service's AnswerIndex: ok / stale / corrupt, plus the header
 // fingerprint.  With an expected fingerprint, a mismatch is stale from
@@ -251,7 +287,7 @@ TEST(EvalCache, DecodeClassifiesOkStaleAndCorrupt) {
   const EvalCache::Decoded ok = EvalCache::decode(raw);
   EXPECT_EQ(ok.verdict, EvalCache::Verdict::kOk);
   EXPECT_EQ(ok.fingerprint, 42U);
-  EXPECT_EQ(ok.ipc, (std::vector<double>{1.5, 2.5}));
+  EXPECT_EQ(ok.payload, (std::vector<double>{1.5, 2.5}));
   EXPECT_EQ(EvalCache::decode(raw, 42).verdict, EvalCache::Verdict::kOk);
   EXPECT_EQ(EvalCache::decode(raw, 7).verdict, EvalCache::Verdict::kStale);
 
@@ -260,6 +296,91 @@ TEST(EvalCache, DecodeClassifiesOkStaleAndCorrupt) {
   EXPECT_EQ(EvalCache::decode(raw, 42).verdict,
             EvalCache::Verdict::kCorrupt);
   EXPECT_EQ(EvalCache::decode(raw, 7).verdict, EvalCache::Verdict::kStale);
+}
+
+// Seeded fuzz over the shared record decoder: bit flips, truncations,
+// extensions and splices of valid encodings, each decoded from an
+// exactly sized buffer so ASan flags any read past its end.  An ok
+// verdict must cover exactly the bytes of a valid encoding (re-encoding
+// the decoded record reproduces them) and never more than the input;
+// the payload is always one of the encoded ones (the CRC guards it,
+// while the header's fingerprint is guarded by the stores' expected
+// fingerprint, not the CRC).  A whole-file decode accepts nothing but
+// an unmodified entry.
+TEST(EvalCache, FuzzedRecordsDecodeOnlyValidEncodings) {
+  Rng rng(Rng::derive_seed("record-fuzz"));
+  std::vector<std::vector<double>> payloads;
+  std::vector<std::vector<std::byte>> valid;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<double> ipc(1 + rng.below(6));
+    for (double& v : ipc) v = rng.uniform() * 4.0;
+    valid.push_back(encode_record<double>(
+        EvalCache::kFormat, rng.next(), std::span<const double>(ipc)));
+    payloads.push_back(std::move(ipc));
+  }
+  const auto pick = [&]() -> const std::vector<std::byte>& {
+    return valid[rng.below(valid.size())];
+  };
+
+  std::size_t ok_prefix = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<std::byte> bytes = pick();
+    switch (rng.below(4)) {
+      case 0:  // flip one to three bits
+        for (std::uint64_t f = 0, n = 1 + rng.below(3); f < n; ++f) {
+          bytes[rng.below(bytes.size())] ^=
+              static_cast<std::byte>(1U << rng.below(8));
+        }
+        break;
+      case 1:  // truncate (a torn write)
+        bytes.resize(rng.below(bytes.size()));
+        break;
+      case 2:  // extend with random bytes (trailing garbage)
+        for (std::uint64_t e = 0, n = 1 + rng.below(32); e < n; ++e) {
+          bytes.push_back(static_cast<std::byte>(rng.below(256)));
+        }
+        break;
+      default: {  // splice: this prefix + another encoding's suffix
+        const std::vector<std::byte>& other = pick();
+        bytes.resize(rng.below(bytes.size() + 1));
+        const std::size_t from = rng.below(other.size() + 1);
+        bytes.insert(bytes.end(), other.begin() + static_cast<long>(from),
+                     other.end());
+        break;
+      }
+    }
+
+    const Record<double> rec =
+        decode_record<double>(EvalCache::kFormat, bytes);
+    if (rec.verdict != RecordVerdict::kOk) {
+      ++rejected;
+    } else {
+      ++ok_prefix;
+      ASSERT_LE(rec.consumed, bytes.size());
+      const std::vector<std::byte> again = encode_record<double>(
+          EvalCache::kFormat, rec.fingerprint,
+          std::span<const double>(rec.payload));
+      ASSERT_EQ(again.size(), rec.consumed);
+      EXPECT_TRUE(std::equal(again.begin(), again.end(), bytes.begin()));
+      EXPECT_NE(std::find(payloads.begin(), payloads.end(), rec.payload),
+                payloads.end());
+    }
+    const bool whole_ok = EvalCache::decode(bytes).verdict ==
+                          RecordVerdict::kOk;
+    const bool unmodified =
+        std::find(valid.begin(), valid.end(), bytes) != valid.end();
+    if (whole_ok) {
+      EXPECT_TRUE(rec.verdict == RecordVerdict::kOk &&
+                  rec.consumed == bytes.size());
+    }
+    if (unmodified) {
+      EXPECT_TRUE(whole_ok);
+    }
+  }
+  // The mutations must exercise both verdicts.
+  EXPECT_GT(ok_prefix, 200U);
+  EXPECT_GT(rejected, 2000U);
 }
 
 TEST(EvalCache, QuarantinesCorruptEntriesKeepsStaleOnes) {

@@ -11,13 +11,16 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/rng.hpp"
 #include "sim/campaign.hpp"
+#include "sim/record_store.hpp"
 #include "sim/runner.hpp"
 
 namespace snug::sim {
@@ -37,6 +40,20 @@ struct TempDir {
   }
   fs::path dir;
 };
+
+std::vector<std::byte> read_bytes(const fs::path& path) {
+  std::vector<std::byte> raw(fs::file_size(path));
+  std::ifstream f(path, std::ios::binary);
+  f.read(reinterpret_cast<char*>(raw.data()),
+         static_cast<std::streamsize>(raw.size()));
+  return raw;
+}
+
+void write_bytes(const fs::path& path, const std::vector<std::byte>& raw) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(raw.data()),
+          static_cast<std::streamsize>(raw.size()));
+}
 
 TEST(CampaignJournal, RoundTripsRecordsAcrossReopen) {
   TempDir tmp("snug_journal_roundtrip");
@@ -108,8 +125,9 @@ TEST(CampaignJournal, GarbageTailStopsReplayAtTheLastValidFrame) {
     journal.append(1, {1.0});
   }
   {
-    // A frame whose length prefix is absurd: parsing must stop, not
-    // allocate 4 GB.
+    // A frame that opens with a foreign magic word (and is shorter
+    // than a record header): replay must stop there, not allocate or
+    // read past the file.
     std::ofstream f(tmp.journal(), std::ios::binary | std::ios::app);
     const std::uint32_t len = 0xFFFFFFFFu;
     f.write(reinterpret_cast<const char*>(&len), sizeof(len));
@@ -120,6 +138,111 @@ TEST(CampaignJournal, GarbageTailStopsReplayAtTheLastValidFrame) {
   EXPECT_GT(journal.discarded_tail_bytes(), 0u);
   std::vector<double> out;
   EXPECT_TRUE(journal.lookup(1, out));
+}
+
+// One record layout: a journal frame is byte-for-byte the eval-cache
+// entry EvalCache::store writes for the same (run fingerprint, IPCs).
+TEST(CampaignJournal, FrameIsTheEvalCacheEntryBytes) {
+  TempDir tmp("snug_journal_frame_layout");
+  const std::vector<double> ipc{0.875, 1.5, 2.25};
+  {
+    CampaignJournal journal(tmp.journal(), 4);
+    journal.append(77, ipc);
+  }
+  EvalCache cache((tmp.dir / "cache").string());
+  cache.store("k", 77, ipc);
+
+  const std::vector<std::byte> journal = read_bytes(tmp.journal());
+  const std::vector<std::byte> entry = read_bytes(tmp.dir / "cache/k.snugc");
+  ASSERT_EQ(journal.size(), 16 + entry.size());
+  EXPECT_TRUE(std::equal(entry.begin(), entry.end(), journal.begin() + 16));
+}
+
+// Seeded fuzz over journal replay: a run of frames whose first damaged
+// frame (bit flips outside the fingerprint word, which the payload CRC
+// does not cover; a truncation; random bytes; or a splice of another
+// frame's tail) is followed by intact frames must replay exactly the
+// frames before the damage, discard the rest as a torn tail, and leave
+// exactly that valid prefix on disk.
+TEST(CampaignJournal, FuzzedFramesReplayExactlyTheValidPrefix) {
+  TempDir tmp("snug_journal_fuzz");
+  std::vector<std::byte> header;
+  {
+    CampaignJournal journal(tmp.journal(), 11);
+    header = read_bytes(tmp.journal());
+  }
+  ASSERT_EQ(header.size(), 16u);
+
+  Rng rng(Rng::derive_seed("journal-fuzz"));
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::size_t n = 1 + rng.below(6);
+    const std::size_t damaged = rng.below(n + 1);  // n: no damage
+    std::vector<std::vector<double>> ipcs(n);
+    std::vector<std::vector<std::byte>> frames(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ipcs[i].resize(1 + rng.below(4));
+      for (double& v : ipcs[i]) v = rng.uniform();
+      frames[i] = encode_record<double>(EvalCache::kFormat, 1000 + i,
+                                        std::span<const double>(ipcs[i]));
+    }
+    const std::vector<std::vector<std::byte>> intact = frames;
+    if (damaged < n) {
+      std::vector<std::byte>& f = frames[damaged];
+      switch (rng.below(4)) {
+        case 0:  // bit flips anywhere but the (CRC-less) fingerprint word
+          for (std::uint64_t k = 0, m = 1 + rng.below(3); k < m; ++k) {
+            std::size_t pos = rng.below(f.size() - 8);
+            if (pos >= 8) pos += 8;
+            f[pos] ^= static_cast<std::byte>(1U << rng.below(8));
+          }
+          break;
+        case 1:  // truncated frame
+          f.resize(rng.below(f.size()));
+          break;
+        case 2:  // random bytes in place of the frame
+          f.resize(1 + rng.below(48));
+          for (std::byte& b : f) b = static_cast<std::byte>(rng.below(256));
+          break;
+        default: {  // splice: this frame's head + another frame's tail,
+                    // misaligned (an aligned splice inside the header
+                    // is a valid record for a hybrid fingerprint)
+          const std::vector<std::byte> other = frames[rng.below(n)];
+          const std::size_t head = rng.below(f.size());
+          std::size_t from = rng.below(other.size() + 1);
+          if (from == head) from = head + 1 <= other.size() ? head + 1 : 0;
+          f.resize(head);
+          f.insert(f.end(), other.begin() + static_cast<long>(from),
+                   other.end());
+          break;
+        }
+      }
+      // A mutation that cancelled out (or removed the frame) is no
+      // damage: make it one garbage byte.
+      if (f.empty() || f == intact[damaged]) f.assign(1, std::byte{0x5A});
+    }
+    std::vector<std::byte> raw = header;
+    std::size_t valid_bytes = header.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      raw.insert(raw.end(), frames[i].begin(), frames[i].end());
+      if (i < damaged) valid_bytes += frames[i].size();
+    }
+    write_bytes(tmp.journal(), raw);
+
+    CampaignJournal journal(tmp.journal(), 11);
+    ASSERT_FALSE(journal.reset_stale());
+    ASSERT_EQ(journal.replayed_cells(), damaged) << "iteration " << iter;
+    EXPECT_EQ(journal.discarded_tail_bytes(), raw.size() - valid_bytes);
+    std::vector<double> out;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i < damaged) {
+        ASSERT_TRUE(journal.lookup(1000 + i, out));
+        EXPECT_EQ(out, ipcs[i]);
+      } else {
+        EXPECT_FALSE(journal.lookup(1000 + i, out));
+      }
+    }
+    EXPECT_EQ(fs::file_size(tmp.journal()), valid_bytes);
+  }
 }
 
 TEST(CampaignJournal, StaleJournalIsMovedAsideNeverDeleted) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/rng.hpp"
 
 namespace snug::sim::service {
 namespace {
@@ -124,6 +126,12 @@ TEST(ServiceWire, AnswerParseRejectsMalformedInput) {
       "answer-v1\nid=a\nstatus=ok\ncell=mixA ipc=1.0,nope", out, error));
   EXPECT_FALSE(parse_answer(
       "answer-v1\nid=a\nstatus=ok\ncell=mixA-no-ipc-field", out, error));
+  EXPECT_FALSE(parse_answer("answer-v1\nid=a\nstatus=ok\nerror=boom", out,
+                            error))
+      << "a payload the status does not carry must be rejected";
+  EXPECT_FALSE(parse_answer(
+      "answer-v1\nid=a\nretry-after-ms=5\nstatus=error\nerror=x", out,
+      error));
 }
 
 TEST(ServiceClientTest, SubmitPublishesAtomicallyAndPollsAnswers) {
@@ -376,6 +384,170 @@ TEST(ServiceClientTest, BatchSubmitPollsAndFoldsV1Rejections) {
   ASSERT_EQ(polled.parts.size(), 2u);
   EXPECT_EQ(polled.parts[0].cells[0].ipc, a.parts[0].cells[0].ipc);
   EXPECT_EQ(polled.parts[1].retry_after_ms, 99u);
+}
+
+// ---- seeded fuzz over the four wire parsers ------------------------------
+//
+// Modelled on Scenario.FuzzedSpecsRejectOrRoundTrip: every mutated
+// message is either rejected with a non-empty diagnostic, or its parsed
+// value re-encodes and re-parses to the same value.
+
+bool same_ipc(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return x == y || (std::isnan(x) && std::isnan(y));
+                    });
+}
+
+bool same_cells(const std::vector<AnswerCell>& a,
+                const std::vector<AnswerCell>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const AnswerCell& x, const AnswerCell& y) {
+                      return x.combo == y.combo && same_ipc(x.ipc, y.ipc);
+                    });
+}
+
+bool same(const ServiceQuery& a, const ServiceQuery& b) {
+  return a.id == b.id && a.scenario_text == b.scenario_text &&
+         a.scheme_id == b.scheme_id;
+}
+
+bool same(const ServiceAnswer& a, const ServiceAnswer& b) {
+  return a.id == b.id && a.status == b.status && a.error == b.error &&
+         a.retry_after_ms == b.retry_after_ms && same_cells(a.cells, b.cells);
+}
+
+bool same(const ServiceBatchQuery& a, const ServiceBatchQuery& b) {
+  return a.id == b.id &&
+         std::equal(a.items.begin(), a.items.end(), b.items.begin(),
+                    b.items.end(), [](const BatchItem& x, const BatchItem& y) {
+                      return x.scenario_text == y.scenario_text &&
+                             x.scheme_id == y.scheme_id;
+                    });
+}
+
+bool same(const ServiceBatchAnswer& a, const ServiceBatchAnswer& b) {
+  return a.id == b.id &&
+         std::equal(a.parts.begin(), a.parts.end(), b.parts.begin(),
+                    b.parts.end(), [](const BatchPart& x, const BatchPart& y) {
+                      return x.status == y.status && x.error == y.error &&
+                             x.retry_after_ms == y.retry_after_ms &&
+                             same_cells(x.cells, y.cells);
+                    });
+}
+
+/// Mutates messages of `corpus` 4000 times (splicing in tails of any
+/// message of `all`) and checks every verdict of `parse`; both verdicts
+/// must be exercised.
+template <typename Msg, typename Parse, typename Encode>
+void fuzz_rejects_or_round_trips(const char* tag,
+                                 const std::vector<std::string>& corpus,
+                                 const std::vector<std::string>& all,
+                                 Parse parse, Encode encode) {
+  const std::vector<std::string> fragments = {
+      "\nid=q1", "\nid=", "\nstatus=ok", "\nstatus=error",
+      "\nstatus=retry-after", "\nerror=boom", "\nretry-after-ms=250",
+      "\nretry-after-ms=", "\ncell=mixA ipc=1.5", "\ncell=0/mixA ipc=2",
+      "\nquery=SNUG|cores=4", "\nscenario=cores=8", "\nscheme=DSR",
+      "\nparts=2", "\npart=1 status=ok", "\npart=0 status=error error=x",
+      "query-v1", "query-v2", "answer-v1", "answer-v2", " ipc=", "nan",
+      "inf", "-0", "1e999", "0x1p3", "4294967296", "|", "=", "/", ","};
+  const std::string alphabet =
+      "abcdefghijklmnopqrstuvwxyzAB0123456789=|/,._- \n()%+";
+  Rng rng(Rng::derive_seed(tag));
+  const auto pick = [&](const auto& v) -> const auto& {
+    return v[rng.below(v.size())];
+  };
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text = pick(corpus);
+    for (std::uint64_t e = 0, edits = 1 + rng.below(3); e < edits; ++e) {
+      const std::size_t pos = rng.below(text.size() + 1);
+      switch (rng.below(6)) {
+        case 0:  // append a whole line
+          text += pick(fragments);
+          break;
+        case 1:  // insert a fragment
+          text.insert(pos, pick(fragments));
+          break;
+        case 2:  // insert one character
+          text.insert(pos, 1, alphabet[rng.below(alphabet.size())]);
+          break;
+        case 3:  // delete a short range
+          if (pos < text.size()) text.erase(pos, 1 + rng.below(6));
+          break;
+        case 4:  // replace one character
+          if (pos < text.size()) {
+            text[pos] = alphabet[rng.below(alphabet.size())];
+          }
+          break;
+        default: {  // splice: this prefix + another message's suffix
+          const std::string& other = pick(all);
+          text = text.substr(0, pos) +
+                 other.substr(rng.below(other.size() + 1));
+          break;
+        }
+      }
+    }
+
+    Msg msg;
+    std::string error;
+    if (!parse(text, msg, error)) {
+      EXPECT_FALSE(error.empty()) << tag << ": '" << text << "'";
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string canonical = encode(msg);
+    Msg reparsed;
+    ASSERT_TRUE(parse(canonical, reparsed, error))
+        << tag << ": '" << text << "' -> '" << canonical << "': " << error;
+    EXPECT_TRUE(same(msg, reparsed))
+        << tag << ": '" << text << "' -> '" << canonical << "'";
+  }
+  EXPECT_GT(accepted, 200U) << tag;
+  EXPECT_GT(rejected, 200U) << tag;
+}
+
+TEST(ServiceWireFuzz, FuzzedMessagesRejectOrRoundTrip) {
+  ServiceAnswer ok{"q1", AnswerStatus::kOk, "", 0,
+                   {{"mixA", {1.0 / 3.0, 2.0}}, {"mixB", {1e-300}}}};
+  ServiceAnswer err{"q2", AnswerStatus::kError, "mixA/SNUG: gave up", 0, {}};
+  ServiceAnswer shed{"q3", AnswerStatus::kRetryAfter, "", 250, {}};
+  ServiceBatchAnswer batch{"sweep-02", std::vector<BatchPart>(3)};
+  batch.parts[0].cells.push_back({"mixA", {1.0 / 3.0, 0.125}});
+  batch.parts[1].status = AnswerStatus::kError;
+  batch.parts[1].error = "unknown scheme 'WAT'";
+  batch.parts[2].status = AnswerStatus::kRetryAfter;
+  batch.parts[2].retry_after_ms = 250;
+  const ServiceBatchQuery batch_query{
+      "sweep-01",
+      {{"cores=4 workload=gzip+mesa+gzip+mesa", "SNUG"},
+       {"cores=8 workload=paper", "CC(50%)"}}};
+  const std::vector<std::string> queries = {
+      encode_query({"client-1.q_07", "cores=4 workload=paper", "CC(50%)"}),
+      encode_query({"q", "", "SNUG"})};
+  const std::vector<std::string> answers = {
+      encode_answer(ok), encode_answer(err), encode_answer(shed)};
+  const std::vector<std::string> batch_queries = {
+      encode_batch_query(batch_query)};
+  const std::vector<std::string> batch_answers = {
+      encode_batch_answer(batch)};
+  std::vector<std::string> all = queries;
+  all.insert(all.end(), answers.begin(), answers.end());
+  all.insert(all.end(), batch_queries.begin(), batch_queries.end());
+  all.insert(all.end(), batch_answers.begin(), batch_answers.end());
+
+  fuzz_rejects_or_round_trips<ServiceQuery>("query-v1", queries, all,
+                                            parse_query, encode_query);
+  fuzz_rejects_or_round_trips<ServiceAnswer>("answer-v1", answers, all,
+                                             parse_answer, encode_answer);
+  fuzz_rejects_or_round_trips<ServiceBatchQuery>(
+      "query-v2", batch_queries, all, parse_batch_query, encode_batch_query);
+  fuzz_rejects_or_round_trips<ServiceBatchAnswer>(
+      "answer-v2", batch_answers, all, parse_batch_answer,
+      encode_batch_answer);
 }
 
 }  // namespace

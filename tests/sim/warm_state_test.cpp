@@ -126,12 +126,6 @@ TEST(WarmStateBank, RejectsBadMagicVersionAndSize) {
     f.seekp(off);
     f.write(reinterpret_cast<const char*>(&v), sizeof v);
   };
-  const auto corrupt_u64_at = [&](std::streamoff off, std::uint64_t v) {
-    std::fstream f(entry_file(tmp, "k"),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(off);
-    f.write(reinterpret_cast<const char*>(&v), sizeof v);
-  };
 
   std::vector<std::byte> blob;
   bank.store("k", 42, test_blob(64));
@@ -146,12 +140,13 @@ TEST(WarmStateBank, RejectsBadMagicVersionAndSize) {
   EXPECT_FALSE(bank.load("k", 42, blob));
   EXPECT_FALSE(bank.contains("k", 42));
 
+  // The shared record header's u32 byte count (sim/record_store.hpp).
   bank.store("k", 42, test_blob(64));
-  corrupt_u64_at(16, 0);  // payload_bytes = 0
+  corrupt_u32_at(16, 0);  // zero-size payload
   EXPECT_FALSE(bank.load("k", 42, blob));
 
   bank.store("k", 42, test_blob(64));
-  corrupt_u64_at(16, WarmStateBank::kMaxBytes + 1);  // absurd size
+  corrupt_u32_at(16, WarmStateBank::kMaxBytes + 1);  // absurd size
   EXPECT_FALSE(bank.load("k", 42, blob));
 }
 
