@@ -123,17 +123,14 @@ int main(int argc, char** argv) {
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty() || line[0] == '#') continue;
-      const std::size_t sep = line.find('|');
-      if (sep == std::string::npos || sep == 0 || sep + 1 == line.size()) {
+      sim::service::BatchItem item;
+      if (!sim::service::parse_batch_item(line, item)) {
         std::fprintf(stderr,
                      "campaignd: bad --ring-queries line '%s' (want "
                      "<scheme>|<scenario>)\n",
                      line.c_str());
         return 2;
       }
-      sim::service::BatchItem item;
-      item.scheme_id = line.substr(0, sep);
-      item.scenario_text = line.substr(sep + 1);
       ring_batch.items.push_back(std::move(item));
     }
     if (ring_batch.items.empty()) {

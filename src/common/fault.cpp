@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -334,13 +335,6 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 const char* kind_name(Kind kind) {
   switch (kind) {
     case Kind::kShortWrite: return "short-write";
@@ -465,8 +459,9 @@ bool FaultPlan::parse(const std::string& text, FaultPlan& plan,
         if (key == "p") {
           char* end = nullptr;
           clause.prob = std::strtod(val.c_str(), &end);
-          if (end == nullptr || *end != '\0' || clause.prob <= 0.0 ||
-              clause.prob > 1.0) {
+          // Written so NaN, which fails every comparison, is refused.
+          if (end == nullptr || *end != '\0' ||
+              !(clause.prob > 0.0 && clause.prob <= 1.0)) {
             error = "p= must be in (0, 1] in '" + clause_text + "'";
             return false;
           }
@@ -525,7 +520,13 @@ std::string FaultPlan::summary() const {
     const auto add = [&params](const std::string& kv) {
       params += (params.empty() ? ":" : ",") + kv;
     };
-    if (c.prob < 1.0) add(strf("p=%g", c.prob));
+    if (c.prob < 1.0) {
+      // Shortest text that reads back as the same double (%g's six
+      // digits would print 0.9999999 as 1, dropping the clause's p=).
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof buf, c.prob);
+      add("p=" + std::string(buf, res.ptr));
+    }
     if (c.first > 0) {
       add(strf("first=%llu", static_cast<unsigned long long>(c.first)));
     }

@@ -1,5 +1,6 @@
 #include "common/str.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 namespace snug {
@@ -32,6 +33,15 @@ std::vector<std::string> split(const std::string& s, char sep) {
     out.push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
+}
+
+bool parse_u64(const std::string& s, std::uint64_t& out) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || ptr != end) return false;
+  out = v;
+  return true;
 }
 
 std::string pct(double fraction, int decimals) {

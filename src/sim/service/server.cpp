@@ -303,25 +303,16 @@ bool CampaignServer::publish_text(const std::string& id,
 
 bool CampaignServer::finish_tracked(const TrackedQuery& tq,
                                     const ServiceBatchAnswer& answer) {
-  std::string text;
-  if (tq.batch) {
-    text = encode_batch_answer(answer);
-  } else {
-    // v1 queries answer v1 bytes, byte-identical to the pre-batch
-    // server (the compat pin in tests/sim/service_wire_test.cpp).
-    ServiceAnswer v1;
-    v1.id = answer.id;
-    if (!answer.parts.empty()) {
-      const BatchPart& part = answer.parts.front();
-      v1.status = part.status;
-      v1.error = part.error;
-      v1.retry_after_ms = part.retry_after_ms;
-      v1.cells = part.cells;
-    }
-    text = encode_answer(v1);
-  }
   const bool need_file = tq.ring == nullptr || tq.ring->publish;
-  if (need_file && !publish_text(tq.id, text)) return false;
+  // Each query is answered in its own dialect: a v1 query gets answer-v1
+  // bytes, byte-identical to the pre-batch server's (the literal pins in
+  // tests/sim/service_server_test.cpp).
+  if (need_file &&
+      !publish_text(tq.id, tq.dialect == WireDialect::kV1
+                               ? encode_answer(single_answer(answer))
+                               : encode_batch_answer(answer))) {
+    return false;
+  }
   if (tq.ring != nullptr) {
     tq.ring->answer = answer;
     tq.ring->complete();
@@ -335,6 +326,49 @@ bool CampaignServer::finish_tracked(const TrackedQuery& tq,
     answered_[tq.id] = true;
   }
   return true;
+}
+
+CampaignServer::Admission CampaignServer::admit(
+    TrackedQuery& tq, const std::vector<BatchItem>& items,
+    bool allow_refresh) {
+  tq.parts.reserve(items.size());
+  for (const BatchItem& item : items) {
+    tq.parts.push_back(build_part(item, allow_refresh));
+  }
+  parts_total_.fetch_add(items.size(), std::memory_order_relaxed);
+  for (const TrackedPart& part : tq.parts) {
+    if (part.status == AnswerStatus::kError) {
+      parts_rejected_.fetch_add(1, std::memory_order_relaxed);
+    } else if (part.status == AnswerStatus::kRetryAfter) {
+      parts_shed_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // Warm queries (and fully rejected/shed ones) answer right here — no
+  // tracking pass, no extra poll of latency.
+  ServiceBatchAnswer a;
+  if (!collect_answer(tq, a)) return Admission::kPending;
+  return finish_tracked(tq, a) ? Admission::kAnswered
+                               : Admission::kPublishFailed;
+}
+
+void CampaignServer::count_wire_query(const TrackedQuery& tq,
+                                      Admission admission) {
+  // The two counters whose meaning is per dialect: a batch file counts
+  // in batches_ingested, and a v1 query IS its one part, so answered at
+  // once its part's verdict rejects or sheds the whole query.  A batch
+  // counts as ingested whatever its parts say (parts_* count those).
+  if (tq.dialect == WireDialect::kV2) {
+    batches_ingested_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (admission == Admission::kPublishFailed) return;  // re-ingested later
+  const AnswerStatus verdict =
+      admission == Admission::kAnswered && tq.dialect == WireDialect::kV1
+          ? tq.parts.front().status
+          : AnswerStatus::kOk;
+  (verdict == AnswerStatus::kError        ? queries_rejected_
+   : verdict == AnswerStatus::kRetryAfter ? queries_shed_
+                                          : queries_ingested_)
+      .fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t CampaignServer::ingest() {
@@ -390,11 +424,8 @@ std::size_t CampaignServer::ingest() {
                            raw.size());
 
     const auto reject = [&](const std::string& why) {
-      ServiceAnswer a;
-      a.id = id;
-      a.status = AnswerStatus::kError;
-      a.error = why;
-      if (!publish_text(id, encode_answer(a))) {
+      if (!publish_text(id, encode_answer(ServiceAnswer{
+                                id, AnswerStatus::kError, why, 0, {}}))) {
         submit_force_rescan_ = true;
         return;
       }
@@ -408,87 +439,36 @@ std::size_t CampaignServer::ingest() {
       ++progress;
     };
 
+    ServiceBatchQuery query;
     TrackedQuery tq;
+    std::string error;
+    if (!parse_query(text, query, tq.dialect, error)) {
+      // A file that is no query of either dialect is rejected wholesale
+      // with an answer-v1 error (a batch client reads it as one part).
+      reject(error);
+      continue;
+    }
+    if (query.id != id) {
+      reject(strf("query id '%s' does not match file name '%s'",
+                  query.id.c_str(), id.c_str()));
+      continue;
+    }
     tq.id = id;
-    std::vector<BatchItem> items;
-    if (is_batch_query(text)) {
-      ServiceBatchQuery bq;
-      std::string error;
-      if (!parse_batch_query(text, bq, error)) {
-        // A malformed batch is rejected wholesale with a v1 error
-        // answer (try_poll_batch folds it into one error part).
-        reject(error);
-        continue;
-      }
-      if (bq.id != id) {
-        reject(strf("query id '%s' does not match file name '%s'",
-                    bq.id.c_str(), id.c_str()));
-        continue;
-      }
-      tq.batch = true;
-      items = std::move(bq.items);
-    } else {
-      ServiceQuery query;
-      std::string error;
-      if (!parse_query(text, query, error)) {
-        reject(error);
-        continue;
-      }
-      if (query.id != id) {
-        reject(strf("query id '%s' does not match file name '%s'",
-                    query.id.c_str(), id.c_str()));
-        continue;
-      }
-      items.push_back(BatchItem{query.scenario_text, query.scheme_id});
+    const Admission admission = admit(tq, query.items, /*allow_refresh=*/false);
+    count_wire_query(tq, admission);
+    if (admission == Admission::kPublishFailed) {
+      submit_force_rescan_ = true;  // publish failed; retry next pass
+      continue;
     }
-
-    tq.parts.reserve(items.size());
-    for (const BatchItem& item : items) {
-      tq.parts.push_back(build_part(item, false));
-    }
-    parts_total_.fetch_add(items.size(), std::memory_order_relaxed);
-    for (const TrackedPart& part : tq.parts) {
-      if (part.status == AnswerStatus::kError) {
-        parts_rejected_.fetch_add(1, std::memory_order_relaxed);
-      } else if (part.status == AnswerStatus::kRetryAfter) {
-        parts_shed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (tq.batch) batches_ingested_.fetch_add(1, std::memory_order_relaxed);
-
-    // Warm queries (and fully rejected/shed ones) answer right here at
-    // ingest — no tracking pass, no extra poll of latency.
-    ServiceBatchAnswer a;
-    if (collect_answer(tq, a)) {
-      if (!finish_tracked(tq, a)) {
-        submit_force_rescan_ = true;  // publish failed; retry next pass
-        continue;
-      }
-      if (!tq.batch) {
-        switch (tq.parts.front().status) {
-          case AnswerStatus::kError:
-            queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case AnswerStatus::kRetryAfter:
-            queries_shed_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          default:
-            queries_ingested_.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
-      } else {
-        queries_ingested_.fetch_add(1, std::memory_order_relaxed);
-      }
+    ++progress;
+    if (admission == Admission::kAnswered) {
       queries_answered_.fetch_add(1, std::memory_order_relaxed);
-      ++progress;
       continue;
     }
     {
       const std::lock_guard<std::mutex> lock(state_mu_);
       tracked_[id] = std::move(tq);
     }
-    queries_ingested_.fetch_add(1, std::memory_order_relaxed);
-    ++progress;
     wake_cv_.notify_all();
   }
   return progress;
@@ -649,30 +629,15 @@ void CampaignServer::handle_ring_op(RingOp* op) {
   }
   TrackedQuery tq;
   tq.id = op->query.id;
-  tq.batch = true;
   tq.ring = op;
-  tq.parts.reserve(op->query.items.size());
-  for (const BatchItem& item : op->query.items) {
-    tq.parts.push_back(build_part(item, /*allow_refresh=*/true));
-  }
-  parts_total_.fetch_add(op->query.items.size(), std::memory_order_relaxed);
-  for (const TrackedPart& part : tq.parts) {
-    if (part.status == AnswerStatus::kError) {
-      parts_rejected_.fetch_add(1, std::memory_order_relaxed);
-    } else if (part.status == AnswerStatus::kRetryAfter) {
-      parts_shed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // The warm path: everything resolved from the index — complete in
-  // memory right here, microseconds after the push.
-  ServiceBatchAnswer a;
-  if (collect_answer(tq, a)) {
-    if (finish_tracked(tq, a)) {
-      ring_inline_answers_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    // op->publish answer file failed (fault plan): fall through to
-    // tracking — the publish() pass retries under a fresh temp.
+  // The warm path: everything resolved from the index — completed in
+  // memory right here, microseconds after the push.  A failed
+  // op->publish answer file (fault plan) falls through to tracking: the
+  // publish() pass retries under a fresh temp.
+  if (admit(tq, op->query.items, /*allow_refresh=*/true) ==
+      Admission::kAnswered) {
+    ring_inline_answers_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   {
     const std::lock_guard<std::mutex> lock(state_mu_);

@@ -17,16 +17,21 @@
 //           Ring ops whose cells miss the index are admitted into the
 //           SAME journaled backlog as file-wire queries, so the ring
 //           is latency-only, never a weaker durability tier.
-//   tier 3  the file wire (sim/service/wire.hpp): query-v1 and batched
-//           query-v2 files in <root>/submit/, answers published
-//           atomically in <root>/answers/.  The durability and
-//           cross-process compatibility tier.  The submit poller is
+//   tier 3  the file wire (sim/service/wire.hpp): query files of either
+//           dialect of the one wire grammar (query-v1, batched
+//           query-v2) in <root>/submit/, parsed by the one parse_query
+//           into a batch; each is answered in its own dialect,
+//           published atomically in <root>/answers/.  The durability
+//           and cross-process compatibility tier.  The submit poller is
 //           epoch-gated: the directory is only LISTED when its stat
 //           signature moved since the last pass.
 //
+// Tiers 2 and 3 admit a query's parts through one path (admit): build
+// each part, count parts_*, and answer inline when every part resolved.
+//
 // One poll_once() pass:
 //
-//   ingest     new query files are parsed (v1 or batched v2) into
+//   ingest     new query files are parsed (either dialect) into
 //              per-part cell lists keyed by run_fingerprint.
 //              Index-resident cells are answered in memory (hit path —
 //              no simulation, no journal); the rest are deduplicated
@@ -216,9 +221,18 @@ class CampaignServer {
   /// One client query being tracked until every part resolves.
   struct TrackedQuery {
     std::string id;
-    bool batch = false;      ///< answer as answer-v2 (else v1 bytes)
+    /// The query's dialect, which its answer is encoded in (ring ops
+    /// are batches).
+    WireDialect dialect = WireDialect::kV2;
     RingOp* ring = nullptr;  ///< non-null: complete in memory
     std::vector<TrackedPart> parts;
+  };
+
+  /// Outcome of admit().
+  enum class Admission {
+    kAnswered,       ///< every part resolved; the answer is out
+    kPublishFailed,  ///< every part resolved; the answer file failed
+    kPending,        ///< some cell waits on the backlog: track it
   };
 
   std::size_t ingest();
@@ -238,6 +252,14 @@ class CampaignServer {
   /// does not ride the poller's per-pass refresh).
   [[nodiscard]] TrackedPart build_part(const BatchItem& item,
                                        bool allow_refresh);
+  /// The one admission path of the file wire and the ring: builds a
+  /// part per item into `tq`, counts parts_*, and answers at once when
+  /// every part resolved (warm, rejected or shed parts need no pass).
+  [[nodiscard]] Admission admit(TrackedQuery& tq,
+                                const std::vector<BatchItem>& items,
+                                bool allow_refresh);
+  /// Query counters of an admitted file-wire query.
+  void count_wire_query(const TrackedQuery& tq, Admission admission);
   /// True when every part is resolved; fills the complete answer
   /// (poisoned cells turn their part status=error, healthy cells stay).
   [[nodiscard]] bool collect_answer(const TrackedQuery& tq,

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/campaign.hpp"
 #include "sim/executor.hpp"
 #include "sim/runner.hpp"
@@ -133,6 +135,138 @@ TEST(FaultPlan, RejectsAnEmptyPlanAndReportsNoInstallation) {
   EXPECT_NE(error.find("no clauses"), std::string::npos) << error;
   EXPECT_FALSE(fault::plan_installed());
   EXPECT_EQ(fault::installed_stats().total(), 0u);
+}
+
+bool same_plan(const fault::FaultPlan& a, const fault::FaultPlan& b) {
+  return a.seed == b.seed &&
+         std::equal(a.clauses.begin(), a.clauses.end(), b.clauses.begin(),
+                    b.clauses.end(),
+                    [](const fault::Clause& x, const fault::Clause& y) {
+                      return x.kind == y.kind && x.op == y.op &&
+                             x.prob == y.prob && x.first == y.first &&
+                             x.every == y.every &&
+                             x.stall_ms == y.stall_ms && x.match == y.match;
+                    });
+}
+
+// Modelled on Scenario.FuzzedSpecsRejectOrRoundTrip: every mutated or
+// spliced plan is either rejected with a non-empty diagnostic, or its
+// summary() re-parses to the same plan and reproduces the same summary.
+TEST(FaultPlan, FuzzedPlansRejectOrRoundTrip) {
+  const std::vector<std::string> corpus = {
+      "seed=7; short-write@write:p=0.25; "
+      "fail@task:match=mixA/SNUG,first=2; stall@read:ms=5,every=3",
+      "seed=4; fail@lease:first=2; stall@heartbeat:ms=3; "
+      "fail@heartbeat:match=mixA/SNUG",
+      "seed=13; stall@task:ms=3000,first=1,match=gzip+mesa+gzip+mesa/SNUG; "
+      "short-write@write:p=0.15; enospc@write:p=0.1",
+      "seed=13; short-write@write:p=0.25; bit-flip@read:p=0.2; "
+      "fail@task:first=1",
+      "torn-rename@rename:every=2",
+      "fail@read:p=0.5,match=.entry",
+  };
+  // Grammar parts spliced in: every kind, op and modifier, and values
+  // at and past the edges of each modifier's range.
+  const std::vector<std::string> kinds = {
+      "short-write", "enospc", "torn-rename", "bit-flip", "stall", "fail"};
+  const std::vector<std::string> ops = {"read", "write",  "rename",
+                                        "task", "lease", "heartbeat"};
+  const std::vector<std::string> keys = {"p", "first", "every", "ms",
+                                         "match", "seed"};
+  const std::vector<std::string> values = {
+      "0", "1", "2", "3000", "0.5", "0.25", "0.1", "0.9999999",
+      "0.12345678", "1e-7", "1.0", "-1", "+3", " 7", "nan", "inf", "0x1p-2",
+      "18446744073709551615", "18446744073709551616", "mixA/SNUG",
+      "a:b", "x@y", ""};
+  const std::string alphabet =
+      "abcdefghijklmnopqrstuvwxyz0123456789=@:;,.-+/ ";
+
+  Rng rng(Rng::derive_seed("fault-plan-fuzz"));
+  const auto pick = [&](const auto& v) -> const auto& {
+    return v[rng.below(v.size())];
+  };
+  const auto param = [&] { return pick(keys) + "=" + pick(values); };
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text = pick(corpus);
+    const int edits = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t pos = rng.below(text.size() + 1);
+      switch (rng.below(7)) {
+        case 0:  // append a whole clause
+          text += "; " + pick(kinds) + "@" + pick(ops) +
+                  (rng.chance(0.7) ? ":" + param() : std::string());
+          break;
+        case 1:  // append a modifier to the last clause
+          text += text.find(':') == std::string::npos ? ':' : ',';
+          text += param();
+          break;
+        case 2:  // insert a kind, op, key or value fragment
+          switch (rng.below(4)) {
+            case 0: text.insert(pos, pick(kinds)); break;
+            case 1: text.insert(pos, pick(ops)); break;
+            case 2: text.insert(pos, pick(keys)); break;
+            default: text.insert(pos, pick(values)); break;
+          }
+          break;
+        case 3:  // insert one character
+          text.insert(pos, 1, alphabet[rng.below(alphabet.size())]);
+          break;
+        case 4:  // delete a short range
+          if (pos < text.size()) text.erase(pos, 1 + rng.below(6));
+          break;
+        case 5:  // replace one character
+          if (pos < text.size()) {
+            text[pos] = alphabet[rng.below(alphabet.size())];
+          }
+          break;
+        default: {  // splice: this prefix + another plan's suffix
+          const std::string& other = pick(corpus);
+          text = text.substr(0, pos) +
+                 other.substr(rng.below(other.size() + 1));
+          break;
+        }
+      }
+    }
+
+    fault::FaultPlan plan;
+    std::string error;
+    if (!fault::FaultPlan::parse(text, plan, error)) {
+      EXPECT_FALSE(error.empty()) << "'" << text << "'";
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string summary = plan.summary();
+    fault::FaultPlan reparsed;
+    ASSERT_TRUE(fault::FaultPlan::parse(summary, reparsed, error))
+        << "'" << text << "' -> '" << summary << "': " << error;
+    EXPECT_EQ(reparsed.summary(), summary) << "'" << text << "'";
+    EXPECT_TRUE(same_plan(reparsed, plan))
+        << "'" << text << "' -> '" << summary << "'";
+  }
+  // The mutations must exercise both verdicts.
+  EXPECT_GT(accepted, 200U);
+  EXPECT_GT(rejected, 200U);
+}
+
+TEST(FaultPlan, ProbabilitiesAreStrictAndSummariesExact) {
+  fault::FaultPlan plan;
+  std::string error;
+  // NaN compares false against both bounds of (0, 1]; it must still be
+  // refused, not read as "always" by summary().
+  EXPECT_FALSE(fault::FaultPlan::parse("fail@task:p=nan", plan, error));
+  EXPECT_NE(error.find("p="), std::string::npos) << error;
+  // Counts are plain digits: no sign, no wrap past 2^64 - 1.
+  EXPECT_FALSE(fault::FaultPlan::parse("fail@task:first=+3", plan, error));
+  EXPECT_FALSE(fault::FaultPlan::parse("seed=-1; fail@task", plan, error));
+  EXPECT_FALSE(fault::FaultPlan::parse(
+      "fail@task:every=18446744073709551616", plan, error));
+  // A probability needing more than %g's six digits survives summary().
+  ASSERT_TRUE(fault::FaultPlan::parse("fail@task:p=0.9999999", plan, error))
+      << error;
+  EXPECT_EQ(plan.summary(), "seed=0; fail@task:p=0.9999999");
 }
 
 // ---- deterministic injection through the Env seam ----------------------

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -485,20 +486,29 @@ TEST(CampaignServerBatchTest, V1ClientsStillGetByteIdenticalV1Answers) {
   ASSERT_EQ(b.parts[0].status, AnswerStatus::kOk) << b.parts[0].error;
   expect_cells_equal(b.parts[0].cells, a.cells);
 
-  // Compat pin: a v1 query's answer file still opens with the v1 magic
-  // and re-encodes byte-identically — a pre-batch client parses it.
-  std::ifstream in(answer_path(cfg.root, "old"), std::ios::binary);
-  std::string raw((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  ASSERT_EQ(raw.rfind("answer-v1\n", 0), 0u)
-      << "v1 queries must answer answer-v1, never v2: " << raw;
-  EXPECT_EQ(raw, encode_answer(a));
-
-  // And the v2 batch answered with the v2 magic.
-  std::ifstream in2(answer_path(cfg.root, "new"), std::ios::binary);
-  std::string raw2((std::istreambuf_iterator<char>(in2)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(raw2.rfind("answer-v2\n", 0), 0u) << raw2;
+  // Compat pin: each served file is the literal layout of its dialect,
+  // written out by hand from the direct-simulation IPCs — not derived
+  // from the encoder, so encoder drift shows here too.
+  const std::vector<AnswerCell> direct = direct_cells(kScenarioA, "SNUG");
+  ASSERT_EQ(direct.size(), 1u);
+  std::string ipc_list;
+  for (std::size_t i = 0; i < direct[0].ipc.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, i == 0 ? "%.17g" : ",%.17g",
+                  direct[0].ipc[i]);
+    ipc_list += buf;
+  }
+  const auto served = [&](const char* id) {
+    std::ifstream in(answer_path(cfg.root, id), std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(served("old"), "answer-v1\nid=old\nstatus=ok\ncell=" +
+                               direct[0].combo + " ipc=" + ipc_list + "\n")
+      << "v1 queries must answer answer-v1 bytes, never v2";
+  EXPECT_EQ(served("new"), "answer-v2\nid=new\nparts=1\npart=0 status=ok\n"
+                           "cell=0/" +
+                               direct[0].combo + " ipc=" + ipc_list + "\n");
 }
 
 TEST(CampaignServerTest, OpenReapsAckedAnswersOverTheRetentionCap) {
